@@ -38,7 +38,6 @@ from .heat_trace import (
 from .asymptotic_fit import AsymptoticFit, choose_window, fit_expansion, fit_report
 from .classifier import (
     Verdict,
-    a0_lower_bound,
     a0_simply_connected,
     classify,
     f_corner,

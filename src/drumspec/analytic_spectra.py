@@ -16,6 +16,7 @@ from scipy.special import jv
 from .errors import EmptySpectrumError, NumericError
 
 BESSEL_RTOL = 1e-12
+MULTIPLICITY_RTOL = 1e-9
 
 
 class Spectrum:
@@ -43,10 +44,6 @@ class Spectrum:
         return len(self.eigenvalues)
 
     @property
-    def count(self):
-        return len(self.eigenvalues)
-
-    @property
     def lambda1(self):
         return float(self.eigenvalues[0])
 
@@ -60,14 +57,15 @@ class Spectrum:
                         else self.perimeter_hint * s,
                         meta=dict(self.meta))
 
-    def multiplicity_hints(self, rel_tol=1e-9):
-        """Sizes of near-degenerate clusters, one entry per eigenvalue."""
+    def multiplicity_hints(self):
+        """Sizes of clusters within MULTIPLICITY_RTOL of their first
+        eigenvalue, one entry per eigenvalue."""
         lam = self.eigenvalues
         hints = np.ones(len(lam), dtype=int)
         i = 0
         while i < len(lam):
             j = i + 1
-            while j < len(lam) and lam[j] - lam[i] <= rel_tol * lam[i]:
+            while j < len(lam) and lam[j] - lam[i] <= MULTIPLICITY_RTOL * lam[i]:
                 j += 1
             hints[i:j] = j - i
             i = j

@@ -18,14 +18,17 @@ PI = math.pi
 
 DEFAULT_KAPPA = 12.0
 DEFAULT_GRID_POINTS = 60
+MIN_FIT_POINTS = 10
 CONDITION_LIMIT = 1e12
 
 # Minimum t_max / t_min span for a usable window.
 MIN_WINDOW_SPAN = 4.0
 
+# Fraction of a FEM spectrum's t_min_bias kept as the window floor.
+FEM_FLOOR_SCALE = 1.0 / 3.0
 
-def choose_window(spectrum, kappa=DEFAULT_KAPPA, n_points=DEFAULT_GRID_POINTS,
-                  bias_floor_scale=1.0):
+
+def choose_window(spectrum, kappa=DEFAULT_KAPPA):
     """Fit window [kappa/cutoff, t_max] with a geometric grid.
 
     t_min = kappa/cutoff keeps the truncation tail below ~e^-kappa of h.
@@ -34,33 +37,42 @@ def choose_window(spectrum, kappa=DEFAULT_KAPPA, n_points=DEFAULT_GRID_POINTS,
     unless the spectrum carries an exact area hint; it is floored so the
     constant term is at least ~1e-3 of h(t_max).  Both bounds scale like
     length^2, so dilating the domain rescales the window and leaves every
-    dimensionless fit output unchanged.
+    dimensionless fit output unchanged.  The grid has DEFAULT_GRID_POINTS
+    points.
 
-    Discrete spectra carry an additional usable-window floor below which
-    their systematic eigenvalue drift dominates the trace (see fem_solver);
-    fits that model the drift with the 1/t^2 pollution column pass
-    ``bias_floor_scale`` < 1 to relax it.
+    Discrete (FEM) spectra carry a usable-window floor ``t_min_bias`` below
+    which their systematic eigenvalue drift dominates the trace (see
+    fem_solver).  Every fit of a FEM spectrum carries the 1/t^2 pollution
+    column that models that drift, so the floor is relaxed to
+    FEM_FLOOR_SCALE * t_min_bias here, the one place the policy lives.
+    When that floor leaves no window, no higher cutoff helps: the error
+    carries required_cutoff = inf and asks for a finer mesh instead.
     """
     lam1 = spectrum.lambda1
     cutoff = spectrum.cutoff
     area_est = spectrum.area_hint
     if area_est is None:
         area_est = 4.0 * PI * len(spectrum) / cutoff
-    t_min = kappa / cutoff
-    t_min = max(t_min,
-                bias_floor_scale * float(spectrum.meta.get("t_min_bias", 0.0)))
+    drift_floor = FEM_FLOOR_SCALE * float(spectrum.meta.get("t_min_bias", 0.0))
+    t_min = max(kappa / cutoff, drift_floor)
     t_max = min(0.5 / lam1, 0.05 * area_est)
     # Keep the a0 term (nominal size 1/6) above 1e-3 * h(t_max) ~ 1e-3 * A/(4 pi t).
     t_floor = area_est * 6.0e-3 / (4.0 * PI)
     t_max = max(t_max, t_floor)
     if t_max < MIN_WINDOW_SPAN * t_min:
+        if drift_floor > kappa / cutoff:
+            raise InsufficientSpectrumError(
+                f"the discretisation drift floor sets t_min={t_min:g} "
+                f"(t_min_bias/3), which leaves no window below "
+                f"t_max={t_max:g}; refine the mesh size h",
+                required_cutoff=math.inf)
         required = MIN_WINDOW_SPAN * kappa / t_max
         raise InsufficientSpectrumError(
             f"spectrum cutoff {cutoff:g} gives t_min={t_min:g} but the window "
             f"must end by t_max={t_max:g}; extend the spectrum to cutoff "
             f">= {required:g}",
             required_cutoff=required)
-    grid = np.geomspace(t_min, t_max, n_points)
+    grid = np.geomspace(t_min, t_max, DEFAULT_GRID_POINTS)
     return t_min, t_max, grid
 
 
@@ -127,13 +139,14 @@ def _weighted_lstsq(columns, target, weights):
 
 
 def fit_expansion(samples, mode="blind", area=None, perimeter=None,
-                  include_t_term=False, pollution_term=False, min_points=10):
+                  include_t_term=False, pollution_term=False):
     """Extract expansion coefficients from trace samples.
 
     Blind mode (the classifier default: the spectrum is the only input) fits
     all four basis terms.  Assisted mode pins a_{-1} and a_{-1/2} to the
     supplied exact area and perimeter and fits only the constant and sqrt(t)
-    terms; it exists for validation against known geometry.
+    terms; it exists for validation against known geometry.  Either mode
+    needs at least MIN_FIT_POINTS samples.
 
     Two documented extra columns:
       * ``include_t_term`` adds a t column for sensitivity studies; off by
@@ -141,13 +154,14 @@ def fit_expansion(samples, mode="blind", area=None, perimeter=None,
       * ``pollution_term`` adds a 1/t^2 column modelling the systematic
         upward eigenvalue drift of discrete (finite element) spectra, whose
         leading trace contamination is exactly of that shape; callers
-        enable it for source == "fem".  Exact spectra leave its coefficient
+        enable it for source == "fem", whose window floor choose_window
+        relaxes on that understanding.  Exact spectra leave its coefficient
         at noise level.
     """
     t = samples.grid
     h = samples.values
-    if len(t) < min_points:
-        raise FitError(f"need at least {min_points} samples, got {len(t)}")
+    if len(t) < MIN_FIT_POINTS:
+        raise FitError(f"need at least {MIN_FIT_POINTS} samples, got {len(t)}")
     if np.any(samples.tail_bounds > 0.01 * h):
         worst = float(np.max(samples.tail_bounds / h))
         raise FitError(

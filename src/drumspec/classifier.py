@@ -47,17 +47,6 @@ def a0_simply_connected(thetas):
     return f_corner(x) / 24.0 - len(x) / 12.0 + 1.0 / 6.0
 
 
-def a0_lower_bound(n, chi=1):
-    """Floor for a0 given n corners: chi/6, strict for n >= 1.
-
-    With no corners the bound is attained exactly (smooth boundary); the
-    n = 0 value is returned for the caller to interpret as equality.
-    """
-    if n < 0:
-        raise ValueError("corner count must be nonnegative")
-    return chi / 6.0
-
-
 def decide_from_estimate(a0, sigma, chi=1, decision_z=DEFAULT_DECISION_Z,
                          robust=True):
     """Decision rule on a bare (a0, sigma) estimate.
@@ -80,7 +69,8 @@ def decide_from_estimate(a0, sigma, chi=1, decision_z=DEFAULT_DECISION_Z,
 @dataclass
 class Verdict:
     """Decision with its margin; uncertainty is the operative one
-    (max of fit sigma and the window-robustness shift)."""
+    (max of fit sigma and the window-robustness shift).  ``samples`` are
+    the trace samples the fit was made from."""
 
     decision: str  # has_corners | smooth | indeterminate
     a0_estimate: float
@@ -91,7 +81,7 @@ class Verdict:
     decision_z: float
     robustness_shift: float
     fit: object = None
-    window: tuple = ()
+    samples: object = None
 
     def to_dict(self):
         return {
@@ -106,8 +96,7 @@ class Verdict:
         }
 
 
-def classify(spectrum, chi=1, decision_z=DEFAULT_DECISION_Z,
-             kappa=None, area_hint=None):
+def classify(spectrum, chi=1, decision_z=DEFAULT_DECISION_Z, kappa=None):
     """Blind pipeline: window, trace, fit, one-sided decision.
 
     has_corners requires margin = (a0_hat - chi/6) / uncertainty > decision_z.
@@ -124,13 +113,10 @@ def classify(spectrum, chi=1, decision_z=DEFAULT_DECISION_Z,
 
     kappa = DEFAULT_KAPPA if kappa is None else float(kappa)
     # Discrete spectra get the 1/t^2 column that models their systematic
-    # eigenvalue drift; exact spectra do not need it.  With the column in
-    # the basis the drift floor on the window can be relaxed.
+    # eigenvalue drift; exact spectra do not need it.
     pollution = spectrum.source == "fem"
-    floor_scale = 1.0 / 3.0 if pollution else 1.0
-    t_min, t_max, grid = choose_window(spectrum, kappa=kappa,
-                                       bias_floor_scale=floor_scale)
-    samples = evaluate_trace(spectrum, grid, area_hint=area_hint)
+    t_min, t_max, grid = choose_window(spectrum, kappa=kappa)
+    samples = evaluate_trace(spectrum, grid)
     fit = fit_expansion(samples, mode="blind", pollution_term=pollution)
 
     # Robustness probe: refit on [t_min, t_max/2].
@@ -140,7 +126,7 @@ def classify(spectrum, chi=1, decision_z=DEFAULT_DECISION_Z,
     try:
         n_half = max(10, int(round(len(grid) * 0.8)))
         grid_half = np.geomspace(t_min, t_max / 2.0, n_half)
-        samples_half = evaluate_trace(spectrum, grid_half, area_hint=area_hint)
+        samples_half = evaluate_trace(spectrum, grid_half)
         fit_half = fit_expansion(samples_half, mode="blind",
                                  pollution_term=pollution)
         shift = abs(fit_half.a0 - fit.a0)
@@ -161,7 +147,7 @@ def classify(spectrum, chi=1, decision_z=DEFAULT_DECISION_Z,
     return Verdict(decision=decision, a0_estimate=fit.a0, uncertainty=sigma_eff,
                    threshold=threshold, margin=margin, chi=int(chi),
                    decision_z=decision_z, robustness_shift=shift,
-                   fit=fit, window=(t_min, t_max))
+                   fit=fit, samples=samples)
 
 
 def isospectral_compare(spec_a, spec_b, count, rel_tol):

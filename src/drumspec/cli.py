@@ -164,9 +164,9 @@ def cmd_spectrum(cfg):
 
 def cmd_classify(cfg):
     from .analytic_spectra import read_spectrum
-    from .asymptotic_fit import choose_window, fit_expansion, fit_report
+    from .asymptotic_fit import fit_report
     from .classifier import classify
-    from .heat_trace import evaluate_trace, write_trace
+    from .heat_trace import write_trace
     from .reporting import digest_array, digest_file, write_report
 
     inputs = {"tool_version": __version__}
@@ -192,15 +192,13 @@ def cmd_classify(cfg):
 
     verdict = classify(spec, chi=cfg.chi, decision_z=cfg.decision_z,
                        kappa=cfg.kappa)
-    _, _, grid = choose_window(spec, kappa=cfg.kappa)
-    samples = evaluate_trace(spec, grid)
     report = fit_report(verdict.fit, theoretical=theoretical, inputs=inputs,
                         verdict=verdict.to_dict())
     out = cfg.outdir()
     report_path = out / f"{label}_report.txt"
     trace_path = out / f"{label}_trace.txt"
     write_report(report, report_path)
-    write_trace(samples, trace_path)
+    write_trace(verdict.samples, trace_path)
     print(f"{label}: {verdict.decision} (a0 = {verdict.a0_estimate:.6f} "
           f"+- {verdict.uncertainty:.2g}, threshold {verdict.threshold:.6f}, "
           f"margin {verdict.margin:.2f})")

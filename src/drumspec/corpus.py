@@ -74,15 +74,8 @@ REFERENCE_DOMAINS = [
                     fem_h=0.01, fem_count=450),
 ]
 
-EXACT_SEGMENT_DOMAINS = {
-    "square": make_square,
-    "rectangle-2x1": lambda: make_rectangle(2.0, 1.0),
-    "equilateral-triangle": make_equilateral_triangle,
-    "lshape": make_lshape,
-    "quarter-disk": lambda: make_sector(PI / 2),
-    "half-disk": lambda: make_sector(PI),
+EXACT_SEGMENT_DOMAINS = {ref.label: ref.build for ref in REFERENCE_DOMAINS} | {
     "two-thirds-sector": lambda: make_sector(2 * PI / 3),
-    "disk": make_disk,
     "square-with-hole": make_square_with_square_hole,
     "nonagon": lambda: make_regular_polygon(9),
 }
@@ -161,11 +154,24 @@ def build_corpus(seed=0, inject_a0_bias=0.0, fem=True):
     harness itself can be tested (a nonzero bias must fail exactly the
     classifier rows and nothing else).
     """
-    from .asymptotic_fit import choose_window, fit_expansion
+    from .asymptotic_fit import (
+        choose_window,
+        fit_expansion,
+        implied_area,
+        implied_perimeter,
+    )
     from .classifier import classify, decide_from_estimate, f_corner
     from .heat_trace import evaluate_trace, theoretical_coefficients
 
     checks = []
+    spectra_by_label = {}
+
+    def reference_spectrum(ref):
+        # Each reference spectrum is computed once per corpus run; the
+        # L-shape FEM solve alone costs tens of seconds.
+        if ref.label not in spectra_by_label:
+            spectra_by_label[ref.label] = spectrum_for(ref, seed=seed)
+        return spectra_by_label[ref.label]
 
     def gauss_bonnet():
         worst = 0.0
@@ -233,13 +239,13 @@ def build_corpus(seed=0, inject_a0_bias=0.0, fem=True):
         for ref in REFERENCE_DOMAINS:
             if not ref.analytic:
                 continue
-            spec = spectrum_for(ref, seed=seed)
+            spec = reference_spectrum(ref)
             _, _, grid = choose_window(spec)
             fit = fit_expansion(evaluate_trace(spec, grid))
             err = abs(fit.a0 - ref.a0)
             _assert(err <= 0.01, f"{ref.label}: |a0 err| = {err:.4f}")
-            area = 4 * PI * fit.a_minus1
-            perim = -8 * math.sqrt(PI) * fit.a_minus_half
+            area = implied_area(fit)
+            perim = implied_perimeter(fit)
             dom = ref.build()
             _assert(abs(area - dom.area()) / dom.area() <= 0.005,
                     f"{ref.label}: area off {area:.4f}")
@@ -255,7 +261,7 @@ def build_corpus(seed=0, inject_a0_bias=0.0, fem=True):
         for ref in REFERENCE_DOMAINS:
             if not ref.analytic and not fem:
                 continue
-            spec = spectrum_for(ref, seed=seed)
+            spec = reference_spectrum(ref)
             verdict = classify(spec)
             a0_est = verdict.a0_estimate + inject_a0_bias
             if inject_a0_bias != 0.0:
@@ -277,8 +283,8 @@ def build_corpus(seed=0, inject_a0_bias=0.0, fem=True):
     if fem:
         def lshape_assisted():
             ref = next(r for r in REFERENCE_DOMAINS if r.label == "lshape")
-            spec = spectrum_for(ref, seed=seed)
-            _, _, grid = choose_window(spec, bias_floor_scale=1.0 / 3.0)
+            spec = reference_spectrum(ref)
+            _, _, grid = choose_window(spec)
             dom = ref.build()
             fit = fit_expansion(evaluate_trace(spec, grid), mode="assisted",
                                 area=dom.area(), perimeter=dom.perimeter(),

@@ -23,7 +23,7 @@ from scipy.spatial import Delaunay, cKDTree
 
 from .analytic_spectra import Spectrum
 from .errors import AssemblyError, EigensolveError, MeshError
-from .geometry import detect_corners
+from .geometry import _loops_contain, detect_corners
 
 PI = math.pi
 
@@ -64,7 +64,6 @@ class DiscreteOperatorPair:
 
     stiffness: sp.csr_matrix
     mass: sp.csr_matrix
-    interior_index: np.ndarray    # mesh vertex index per dof
     mesh: Mesh
 
 
@@ -85,29 +84,6 @@ def _size_function(h, diam, reentrant_vertices, grading):
         return s
 
     return size
-
-
-def _polygon_contains(poly, points):
-    pts = np.atleast_2d(points)
-    x, y = pts[:, 0], pts[:, 1]
-    x1, y1 = poly[:, 0], poly[:, 1]
-    x2, y2 = np.roll(x1, -1), np.roll(y1, -1)
-    inside = np.zeros(len(pts), dtype=bool)
-    for a, b, c, d in zip(x1, y1, x2, y2):
-        crosses = (b > y) != (d > y)
-        if not crosses.any():
-            continue
-        with np.errstate(divide="ignore", invalid="ignore"):
-            xint = a + (y - b) * (c - a) / (d - b)
-        inside ^= crosses & (x < xint)
-    return inside
-
-
-def _contains(loops, points):
-    inside = _polygon_contains(loops[0], points)
-    for hole in loops[1:]:
-        inside &= ~_polygon_contains(hole, points)
-    return inside
 
 
 def _hex_lattice(bbox_lo, bbox_hi, spacing):
@@ -198,7 +174,7 @@ def mesh_domain(domain, h, grading=0.5):
     def _filter_seeds(pts, boundary_clearance=0.55):
         if not len(pts):
             return np.empty((0, 2))
-        pts = pts[_contains(poly_loops, pts)]
+        pts = pts[_loops_contain(poly_loops, pts)]
         if not len(pts):
             return np.empty((0, 2))
         d_bnd, _ = tree.query(pts)
@@ -220,7 +196,7 @@ def mesh_domain(domain, h, grading=0.5):
         tri = Delaunay(points)
         simplices = tri.simplices
         cent = points[simplices].mean(axis=1)
-        simplices = simplices[_contains(poly_loops, cent)]
+        simplices = simplices[_loops_contain(poly_loops, cent)]
         edges = np.unique(np.sort(np.concatenate([
             simplices[:, [0, 1]], simplices[:, [1, 2]], simplices[:, [0, 2]],
         ]), axis=1), axis=0)
@@ -235,7 +211,7 @@ def mesh_domain(domain, h, grading=0.5):
         prev = points.copy()
         points[free] += RELAX_STEP * force[free]
         moved = free.copy()
-        bad = ~_contains(poly_loops, points[moved])
+        bad = ~_loops_contain(poly_loops, points[moved])
         idx = np.nonzero(moved)[0][bad]
         points[idx] = prev[idx]
         max_move = np.max(np.linalg.norm(points[free] - prev[free], axis=1)) \
@@ -246,7 +222,7 @@ def mesh_domain(domain, h, grading=0.5):
     tri = Delaunay(points)
     simplices = tri.simplices
     cent = points[simplices].mean(axis=1)
-    simplices = simplices[_contains(poly_loops, cent)]
+    simplices = simplices[_loops_contain(poly_loops, cent)]
     if len(simplices) == 0:
         raise MeshError("triangulation collapsed; decrease h")
 
@@ -295,15 +271,6 @@ def _min_angles_deg(vertices, triangles):
     return angles.min(axis=1)
 
 
-def interior_min_angle_deg(mesh):
-    """Smallest angle over triangles that avoid grading zones and the
-    boundary chords (all-interior-vertex triangles see neither)."""
-    tri_all_int = ~np.any(mesh.is_boundary[mesh.triangles], axis=1)
-    if not tri_all_int.any():
-        return 60.0
-    return float(_min_angles_deg(mesh.vertices, mesh.triangles[tri_all_int]).min())
-
-
 def _check_conformity(mesh):
     edges = np.sort(np.concatenate([
         mesh.triangles[:, [0, 1]], mesh.triangles[:, [1, 2]],
@@ -324,33 +291,6 @@ def _check_conformity(mesh):
     n_bdry_edges = sum(len(loop) for loop in mesh.boundary_loops)
     if n_interior_edges + n_bdry_edges != len(uniq):
         raise MeshError("mesh has hanging boundary edges")
-
-
-def write_mesh(mesh, path):
-    """Plain-text vertex/triangle table for visualization."""
-    lines = [f"# vertices={mesh.n_vertices} triangles={mesh.n_triangles} "
-             f"h={mesh.h:.17g} grading={mesh.grading:.17g}"]
-    for (x, y), b in zip(mesh.vertices, mesh.is_boundary):
-        lines.append(f"v,{x:.17g},{y:.17g},{int(b)}")
-    for a, b, c in mesh.triangles:
-        lines.append(f"t,{a},{b},{c}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def element_matrices(coords):
-    """Exact P1 stiffness and mass matrices of one triangle."""
-    x = coords[:, 0]
-    y = coords[:, 1]
-    b = np.array([y[1] - y[2], y[2] - y[0], y[0] - y[1]])
-    c = np.array([x[2] - x[1], x[0] - x[2], x[1] - x[0]])
-    area2 = x[0] * b[0] + x[1] * b[1] + x[2] * b[2]
-    if area2 <= 0:
-        raise AssemblyError("zero or negative triangle area")
-    area = 0.5 * area2
-    ke = (np.outer(b, b) + np.outer(c, c)) / (4.0 * area)
-    me = area / 12.0 * (np.ones((3, 3)) + np.eye(3))
-    return ke, me
 
 
 def assemble(mesh):
@@ -377,8 +317,7 @@ def assemble(mesh):
         raise AssemblyError("no interior vertices; decrease h")
     Ki = K[np.ix_(interior, interior)].tocsr()
     Mi = M[np.ix_(interior, interior)].tocsr()
-    return DiscreteOperatorPair(stiffness=Ki, mass=Mi,
-                                interior_index=interior, mesh=mesh)
+    return DiscreteOperatorPair(stiffness=Ki, mass=Mi, mesh=mesh)
 
 
 def _weyl_lambda_estimate(k, area, perimeter):
@@ -387,16 +326,16 @@ def _weyl_lambda_estimate(k, area, perimeter):
     return root ** 2
 
 
-def complete_below(eigenvalues, area, perimeter,
-                   dev=POLLUTION_DEV, kmin=POLLUTION_KMIN):
+def complete_below(eigenvalues, area, perimeter):
     """Largest prefix of a discrete spectrum trusted as complete.
 
     Discrete eigenvalues drift systematically *above* the truth as the mode
     number grows; the prefix ends where a running median of the deviation
-    from the two-term Weyl prediction exceeds ``dev``.  The median makes the
-    test blind to the O(one mode) number-theoretic fluctuations of the
-    counting function, which reach several percent at low k and are not
-    pollution; likewise negative deviations never truncate.
+    from the two-term Weyl prediction exceeds POLLUTION_DEV, and the first
+    POLLUTION_KMIN modes are always kept.  The median makes the test blind
+    to the O(one mode) number-theoretic fluctuations of the counting
+    function, which reach several percent at low k and are not pollution;
+    likewise negative deviations never truncate.
     """
     lam = np.asarray(eigenvalues)
     k = np.arange(1, len(lam) + 1, dtype=float)
@@ -405,8 +344,8 @@ def complete_below(eigenvalues, area, perimeter,
     half = 10
     med = np.array([np.median(d[max(0, i - half):i + half + 1])
                     for i in range(len(d))])
-    bad = med > dev
-    bad[:min(kmin, len(lam))] = False
+    bad = med > POLLUTION_DEV
+    bad[:min(POLLUTION_KMIN, len(lam))] = False
     idx = np.nonzero(bad)[0]
     n_ok = len(lam) if len(idx) == 0 else int(idx[0])
     if n_ok == 0:

@@ -436,10 +436,20 @@ def _polygon_contains(poly, points):
     x2, y2 = np.roll(x1, -1), np.roll(y1, -1)
     inside = np.zeros(len(pts), dtype=bool)
     for a, b, c, d in zip(x1, y1, x2, y2):
-        crosses = ((b > y) != (d > y))
+        crosses = (b > y) != (d > y)
+        if not crosses.any():
+            continue
         with np.errstate(divide="ignore", invalid="ignore"):
             xint = a + (y - b) * (c - a) / (d - b)
         inside ^= crosses & (x < xint)
+    return inside
+
+
+def _loops_contain(polys, points):
+    """Points inside the outer polygon ``polys[0]`` and outside every hole."""
+    inside = _polygon_contains(polys[0], points)
+    for hole in polys[1:]:
+        inside &= ~_polygon_contains(hole, points)
     return inside
 
 
@@ -548,11 +558,7 @@ class DomainSpec:
 
     def contains(self, points):
         """Containment test at polyline resolution (holes excluded)."""
-        pts = np.atleast_2d(points)
-        inside = _polygon_contains(self._polylines[0], pts)
-        for poly in self._polylines[1:]:
-            inside &= ~_polygon_contains(poly, pts)
-        return inside
+        return _loops_contain(self._polylines, points)
 
     def transformed(self, rotation=None, shift=(0.0, 0.0), label=None):
         rot = np.eye(2) if rotation is None else np.asarray(rotation, dtype=float)
@@ -583,22 +589,10 @@ def detect_corners(domain, angle_tol=DEFAULT_ANGLE_TOL):
     return corners
 
 
-def area(domain):
-    return domain.area()
-
-
-def perimeter(domain):
-    return domain.perimeter()
-
-
-def curvature_integral(domain):
-    return domain.curvature_integral()
-
-
-def gauss_bonnet_check(domain, angle_tol=DEFAULT_ANGLE_TOL):
+def gauss_bonnet_check(domain):
     """Residual of: integral of k over the smooth boundary part
     = sum of interior angles + pi*(2*chi - n)."""
-    corners = detect_corners(domain, angle_tol)
+    corners = detect_corners(domain)
     theta_sum = sum(c.theta for c in corners)
     n = len(corners)
     expected = theta_sum + math.pi * (2 * domain.chi - n)

@@ -63,7 +63,7 @@ class TheoreticalCoefficients:
         return len(self.corner_thetas)
 
 
-def theoretical_coefficients(domain, angle_tol=1e-6):
+def theoretical_coefficients(domain):
     """a_{-1}, a_{-1/2} from area/perimeter; a0 via two independent routes.
 
     Route 1 integrates the geodesic curvature of the smooth boundary and adds
@@ -71,7 +71,7 @@ def theoretical_coefficients(domain, angle_tol=1e-6):
     and the corner angles (valid for curved edges as well, since the
     curvature integral always equals sum(theta_j) + pi(2 chi - n)).
     """
-    corners = detect_corners(domain, angle_tol)
+    corners = detect_corners(domain)
     thetas = [c.theta for c in corners]
     terms = [corner_term(t) for t in thetas]
     curv = domain.curvature_integral()
@@ -111,15 +111,14 @@ class TraceSamples:
         return len(self.grid)
 
 
-def evaluate_trace(spectrum, grid, area_hint=None,
-                   safety_factor=DEFAULT_TAIL_SAFETY):
+def evaluate_trace(spectrum, grid):
     """Partial sums sum(exp(-lambda t)) over the spectrum, per grid point.
 
     The truncation tail is estimated from the Weyl eigenvalue density:
     integral over (cutoff, inf) of exp(-lambda t) |Omega|/(4 pi) d lambda
-    = |Omega| exp(-cutoff t) / (4 pi t), inflated by ``safety_factor``
+    = |Omega| exp(-cutoff t) / (4 pi t), inflated by DEFAULT_TAIL_SAFETY
     because the density estimate is asymptotic, not rigorous.  The area
-    comes from ``area_hint``, the spectrum's own hint, or the Weyl estimate
+    comes from the spectrum's own hint or, without one, the Weyl estimate
     4 pi K / cutoff.  Grid points whose bound exceeds 10% of the partial sum
     are flagged, not rejected.
 
@@ -135,19 +134,18 @@ def evaluate_trace(spectrum, grid, area_hint=None,
     if lam.size == 0:
         raise EmptySpectrumError("cannot evaluate the trace of an empty spectrum")
 
-    if area_hint is None:
-        area_hint = spectrum.area_hint
-    if area_hint is None:
-        area_hint = 4.0 * PI * len(lam) / spectrum.cutoff
+    area = spectrum.area_hint
+    if area is None:
+        area = 4.0 * PI * len(lam) / spectrum.cutoff
 
     terms = np.exp(-np.outer(lam, t))
     values = np.array([math.fsum(terms[:, j]) for j in range(t.size)])
-    tails = safety_factor * area_hint * np.exp(-spectrum.cutoff * t) / (4.0 * PI * t)
+    tails = DEFAULT_TAIL_SAFETY * area * np.exp(-spectrum.cutoff * t) / (4.0 * PI * t)
     # Positive by definition; keep it so when exp underflows at huge cutoff*t.
     tails = np.maximum(tails, np.finfo(float).tiny)
     flagged = tails > 0.1 * values
     return TraceSamples(grid=t, values=values, tail_bounds=tails,
-                        cutoff=spectrum.cutoff, safety_factor=safety_factor,
+                        cutoff=spectrum.cutoff, safety_factor=DEFAULT_TAIL_SAFETY,
                         flagged=flagged)
 
 

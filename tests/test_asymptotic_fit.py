@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from drumspec.analytic_spectra import disk_spectrum, rectangle_spectrum
+from drumspec.analytic_spectra import Spectrum, disk_spectrum, rectangle_spectrum
 from drumspec.asymptotic_fit import (
     choose_window,
     fit_expansion,
@@ -50,6 +50,21 @@ class TestChooseWindow:
         with pytest.raises(InsufficientSpectrumError) as err:
             choose_window(spec)
         assert err.value.required_cutoff > spec.cutoff
+
+    def test_fem_drift_floor_is_relaxed_to_a_third(self):
+        spec = rectangle_spectrum(1.0, 1.0, 2.0e4)
+        fem = Spectrum(spec.eigenvalues, spec.cutoff, "fem",
+                       area_hint=spec.area_hint, meta={"t_min_bias": 0.01})
+        t_min, _, _ = choose_window(fem)
+        assert_allclose(t_min, 0.01 / 3.0, rtol=1e-15)
+
+    def test_binding_drift_floor_asks_for_a_finer_mesh(self):
+        spec = rectangle_spectrum(1.0, 1.0, 2.0e4)
+        fem = Spectrum(spec.eigenvalues, spec.cutoff, "fem",
+                       area_hint=spec.area_hint, meta={"t_min_bias": 0.05})
+        with pytest.raises(InsufficientSpectrumError, match="refine") as err:
+            choose_window(fem)
+        assert err.value.required_cutoff == math.inf
 
     def test_grid_is_geometric_with_sixty_points(self):
         spec = rectangle_spectrum(1.0, 1.0, 2.0e5)

@@ -11,7 +11,6 @@ from drumspec.analytic_spectra import (
     sector_spectrum,
 )
 from drumspec.classifier import (
-    a0_lower_bound,
     a0_simply_connected,
     classify,
     decide_from_estimate,
@@ -58,13 +57,6 @@ class TestA0Identity:
         # x_k = 1 for all k means f = 2n and the identity collapses to 1/6:
         # the smooth value, confirming angle pi is not a corner.
         assert_allclose(a0_simply_connected([PI] * 4), 1.0 / 6.0, rtol=1e-14)
-
-    def test_lower_bound_value(self):
-        assert a0_lower_bound(1) == pytest.approx(1.0 / 6.0)
-        assert a0_lower_bound(7) == pytest.approx(1.0 / 6.0)
-        assert a0_lower_bound(4, chi=0) == pytest.approx(0.0)
-        with pytest.raises(ValueError):
-            a0_lower_bound(-1)
 
     def test_identity_matches_geometry_route(self):
         from drumspec.geometry import detect_corners, make_lshape, make_regular_polygon

@@ -9,16 +9,14 @@ from drumspec.analytic_spectra import (
     equilateral_triangle_spectrum,
     rectangle_spectrum,
 )
-from drumspec.errors import EigensolveError, MeshError
+from drumspec.errors import AssemblyError, EigensolveError, MeshError
 from drumspec.fem_solver import (
+    _min_angles_deg,
     assemble,
     complete_below,
-    element_matrices,
     fem_spectrum,
-    interior_min_angle_deg,
     mesh_domain,
     solve_lowest,
-    write_mesh,
 )
 from drumspec.geometry import (
     make_disk,
@@ -30,6 +28,31 @@ from drumspec.geometry import (
 
 PI = math.pi
 J01_SQ = 5.783185962946785
+
+
+def element_matrices(coords):
+    """Exact P1 stiffness and mass matrices of one triangle, element by
+    element: the reference that assemble's vectorised formulas must match."""
+    x = coords[:, 0]
+    y = coords[:, 1]
+    b = np.array([y[1] - y[2], y[2] - y[0], y[0] - y[1]])
+    c = np.array([x[2] - x[1], x[0] - x[2], x[1] - x[0]])
+    area2 = x[0] * b[0] + x[1] * b[1] + x[2] * b[2]
+    if area2 <= 0:
+        raise AssemblyError("zero or negative triangle area")
+    area = 0.5 * area2
+    ke = (np.outer(b, b) + np.outer(c, c)) / (4.0 * area)
+    me = area / 12.0 * (np.ones((3, 3)) + np.eye(3))
+    return ke, me
+
+
+def interior_min_angle_deg(mesh):
+    """Smallest angle over triangles that avoid grading zones and the
+    boundary chords (all-interior-vertex triangles see neither)."""
+    tri_all_int = ~np.any(mesh.is_boundary[mesh.triangles], axis=1)
+    if not tri_all_int.any():
+        return 60.0
+    return float(_min_angles_deg(mesh.vertices, mesh.triangles[tri_all_int]).min())
 
 
 @pytest.fixture(scope="module")
@@ -59,17 +82,33 @@ class TestElementMatrices:
         rng = np.random.default_rng(5)
         for _ in range(20):
             coords = rng.uniform(-1, 1, size=(3, 2))
-            if np.cross(coords[1] - coords[0], coords[2] - coords[0]) < 1e-3:
+            e1, e2 = coords[1] - coords[0], coords[2] - coords[0]
+            if e1[0] * e2[1] - e1[1] * e2[0] < 1e-3:
                 continue
             ke, _ = element_matrices(coords)
             assert_allclose(ke.sum(axis=1), 0.0, atol=1e-12)
 
     def test_degenerate_element_rejected(self):
-        from drumspec.errors import AssemblyError
-
         coords = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
         with pytest.raises(AssemblyError):
             element_matrices(coords)
+
+    def test_assemble_matches_element_sums(self):
+        mesh = mesh_domain(make_lshape(), 0.1)
+        nv = mesh.n_vertices
+        K = np.zeros((nv, nv))
+        M = np.zeros((nv, nv))
+        for tri in mesh.triangles:
+            ke, me = element_matrices(mesh.vertices[tri])
+            K[np.ix_(tri, tri)] += ke
+            M[np.ix_(tri, tri)] += me
+        interior = np.nonzero(~mesh.is_boundary)[0]
+        ops = assemble(mesh)
+        assert ops.stiffness.shape == (len(interior), len(interior))
+        assert_allclose(ops.stiffness.toarray(), K[np.ix_(interior, interior)],
+                        rtol=0, atol=1e-12)
+        assert_allclose(ops.mass.toarray(), M[np.ix_(interior, interior)],
+                        rtol=0, atol=1e-15)
 
 
 class TestMeshing:
@@ -121,15 +160,6 @@ class TestMeshing:
         dom = make_rectangle(1.0, 0.01)
         with pytest.raises(MeshError, match="loop|short|coarse"):
             mesh_domain(dom, 0.2)
-
-    def test_mesh_export(self, tmp_path, square_mesh):
-        path = tmp_path / "mesh.txt"
-        write_mesh(square_mesh, path)
-        lines = path.read_text().splitlines()
-        nv = sum(1 for ln in lines if ln.startswith("v,"))
-        nt = sum(1 for ln in lines if ln.startswith("t,"))
-        assert nv == square_mesh.n_vertices
-        assert nt == square_mesh.n_triangles
 
 
 class TestEigenvalues:
