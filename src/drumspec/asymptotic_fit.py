@@ -69,8 +69,8 @@ def choose_window(spectrum, kappa=DEFAULT_KAPPA):
         required = MIN_WINDOW_SPAN * kappa / t_max
         raise InsufficientSpectrumError(
             f"spectrum cutoff {cutoff:g} gives t_min={t_min:g} but the window "
-            f"must end by t_max={t_max:g}; extend the spectrum to cutoff "
-            f">= {required:g}",
+            f"must end by t_max={t_max:g}; extend the spectrum (need cutoff "
+            f">= {required:g})",
             required_cutoff=required)
     grid = np.geomspace(t_min, t_max, DEFAULT_GRID_POINTS)
     return t_min, t_max, grid

@@ -19,7 +19,6 @@ byte-identical files.
 """
 
 import argparse
-import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -290,10 +289,7 @@ def main(argv=None):
         print(f"invalid domain: {exc}", file=sys.stderr)
         return EXIT_INVALID_DOMAIN
     except InsufficientSpectrumError as exc:
-        hint = ""
-        if exc.required_cutoff is not None and math.isfinite(exc.required_cutoff):
-            hint = f" (need cutoff >= {exc.required_cutoff:g})"
-        print(f"insufficient spectrum: {exc}{hint}", file=sys.stderr)
+        print(f"insufficient spectrum: {exc}", file=sys.stderr)
         return EXIT_INSUFFICIENT_SPECTRUM
     except DrumspecError as exc:
         print(f"error: {exc}", file=sys.stderr)

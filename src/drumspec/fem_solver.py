@@ -8,9 +8,13 @@ segments are resolved by chords whose sagitta stays below h^2/diam.
 
 Assembly uses the exact per-triangle linear-element formulas; the Dirichlet
 condition is imposed by eliminating boundary rows and columns.  The lowest
-modes of the generalized pencil (K, M) come from ARPACK in shift-invert
-mode about zero, which is the factorized-subspace iteration appropriate for
-clustered low eigenvalues of positive definite pencils.
+modes of the generalized pencil (K, M) come from spectrum slicing (Ericsson
+& Ruhe 1980; Grimes, Lewis & Simon 1994): the eigenvalue axis is cut into
+slices of a few dozen modes, each solved by ARPACK in shift-invert mode
+about its midpoint, and the inertia of K - sigma M at every slice boundary
+counts the eigenvalues below it exactly (Sylvester's law of inertia).  Each
+slice must yield exactly its counted modes, so the spectrum is proven
+complete below the last shift.
 """
 
 import math
@@ -18,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import eigsh, splu
+from scipy.sparse.linalg import LinearOperator, eigsh, splu
 from scipy.spatial import Delaunay, cKDTree
 
 from .analytic_spectra import Spectrum
@@ -33,6 +37,9 @@ SPRING_SCALE = 1.2
 POLLUTION_DEV = 0.05
 POLLUTION_KMIN = 30
 RESIDUAL_TOL = 1e-8
+SLICE_MODES = 75   # modes per spectrum slice
+SLICE_PAD = 0.05   # slice boundaries sit at Weyl estimates for 5% more modes
+SLICE_EXTRA = 2    # Lanczos asks for this many modes beyond a slice's count
 
 
 @dataclass
@@ -326,6 +333,11 @@ def _weyl_lambda_estimate(k, area, perimeter):
     return root ** 2
 
 
+def _weyl_count(lam, area, perimeter):
+    """The two-term Weyl counting function, the inverse of the above."""
+    return (area * lam - perimeter * math.sqrt(lam)) / (4.0 * PI)
+
+
 def complete_below(eigenvalues, area, perimeter):
     """Largest prefix of a discrete spectrum trusted as complete.
 
@@ -353,43 +365,101 @@ def complete_below(eigenvalues, area, perimeter):
     return n_ok
 
 
-def solve_lowest(ops, count, seed=0):
-    """The ``count`` smallest eigenvalues of (K, M), with residual checks.
+def _factor_shifted(K, M, sigma):
+    """LU factors of K - sigma M and the number of eigenvalues below sigma.
 
-    Shift-invert about zero (K is positive definite after elimination);
-    every returned pair must satisfy |K x - lambda M x|_{M^-1} <=
-    RESIDUAL_TOL * |x|_M.  The returned Spectrum is truncated and its cutoff
-    set by the Weyl pollution rule, so downstream heat-trace tails only see
-    trusted modes.
+    The ordering is symmetric and every pivot stays on the diagonal, so the
+    factorisation is an LDL^T in disguise: diag(U) is D, and by Sylvester's
+    law of inertia its negative entries count the eigenvalues of (K, M)
+    below sigma.  One factorisation serves both that count and the
+    shift-invert solves.
+    """
+    try:
+        lu = splu((K - sigma * M).tocsc(), permc_spec="MMD_AT_PLUS_A",
+                  diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+    except RuntimeError as exc:
+        raise EigensolveError(
+            f"factorisation of K - {sigma:g} M failed: {exc}") from exc
+    if not np.array_equal(lu.perm_r, lu.perm_c):
+        raise EigensolveError(
+            f"factorisation of K - {sigma:g} M pivoted off the diagonal, "
+            f"so it gives no inertia count")
+    return lu, int(np.count_nonzero(lu.U.diagonal() < 0))
+
+
+def _solve_slice(K, M, lo, hi, modes, v0):
+    """The eigenpairs in [lo, hi), of which the inertia counts say there are
+    ``modes``, by shift-invert Lanczos about the slice midpoint."""
+    mid = 0.5 * (lo + hi)
+    lu, _ = _factor_shifted(K, M, mid)
+    op_inv = LinearOperator(K.shape, matvec=lu.solve, dtype=float)
+    try:
+        vals, vecs = eigsh(K, k=min(modes + SLICE_EXTRA, K.shape[0] - 1), M=M,
+                           sigma=mid, v0=v0, OPinv=op_inv, maxiter=2000)
+    except Exception as exc:
+        raise EigensolveError(f"eigensolver failed: {exc}") from exc
+    inside = np.nonzero((vals >= lo) & (vals < hi))[0]
+    if len(inside) != modes:
+        raise EigensolveError(
+            f"slice [{lo:g}, {hi:g}) holds {modes} eigenvalues by inertia, "
+            f"but the eigensolver found {len(inside)}")
+    inside = inside[np.argsort(vals[inside])]
+    return vals[inside], vecs[:, inside]
+
+
+def solve_lowest(ops, count, seed=0):
+    """The ``count`` smallest eigenvalues of (K, M), proven complete and
+    residual-checked.
+
+    Spectrum slicing: the axis from zero (K is positive definite after
+    elimination) is cut into slices [lo, hi) of about SLICE_MODES modes,
+    with boundaries at padded two-term Weyl estimates.  The inertia of
+    K - hi M counts the eigenvalues below each boundary exactly, and each
+    slice is solved by shift-invert Lanczos about its midpoint; a slice
+    whose mode count differs from its inertia difference is an error.  If
+    the last boundary still counts fewer than ``count`` modes, further
+    slices are sized from the Weyl density.  So no eigenvalue below the
+    last shift is missing: the meta records the number of ``slices``, the
+    last shift ``inertia_shift`` and the ``inertia_count`` below it.  Every
+    returned pair must satisfy
+    |K x - lambda M x|_{M^-1} <= RESIDUAL_TOL * |x|_M.  The returned
+    Spectrum is truncated and its cutoff set by the Weyl pollution rule, so
+    downstream heat-trace tails only see trusted modes.
     """
     K, M = ops.stiffness, ops.mass
+    mesh = ops.mesh
     n = K.shape[0]
     if not 1 <= count < n:
         raise EigensolveError(f"count={count} out of range for {n} dofs")
     rng = np.random.default_rng(seed)
-    v0 = rng.standard_normal(n)
-    # Shift-invert operator with one iterative-refinement step: the plain
-    # factorized solve leaves a residual floor ~cond(K)*eps that caps the
-    # achievable eigenpair residual above the contract at high mode counts.
-    from scipy.sparse.linalg import LinearOperator
-
-    try:
-        lu_k = splu(K.tocsc())
-    except Exception as exc:
-        raise EigensolveError(f"stiffness factorization failed: {exc}") from exc
-
-    def _refined_solve(b):
-        x = lu_k.solve(b)
-        return x + lu_k.solve(b - K @ x)
-
-    op_inv = LinearOperator(K.shape, matvec=_refined_solve)
-    try:
-        vals, vecs = eigsh(K, k=count, M=M, sigma=0.0, which="LM", v0=v0,
-                           OPinv=op_inv, maxiter=2000)
-    except Exception as exc:
-        raise EigensolveError(f"eigensolver failed: {exc}") from exc
-    order = np.argsort(vals)
-    vals, vecs = vals[order], vecs[:, order]
+    n_planned = math.ceil(count / SLICE_MODES)
+    targets = count * np.arange(1, n_planned + 1) / n_planned
+    bounds = list(_weyl_lambda_estimate(targets * (1.0 + SLICE_PAD),
+                                        mesh.area, mesh.perimeter))
+    # Slices ascend and each returns its modes in order, so they fill the
+    # output columns in place, already sorted.
+    vals = np.empty(count)
+    vecs = np.empty((n, count))
+    lo, below_lo, slices = 0.0, 0, 0
+    while below_lo < count:
+        if slices < len(bounds):
+            hi = float(bounds[slices])
+        else:
+            # The Weyl estimates fell short of ``count``: size one more
+            # slice from the Weyl density to hold the missing modes.
+            missing = (count - below_lo) * (1.0 + SLICE_PAD)
+            hi = float(_weyl_lambda_estimate(
+                _weyl_count(lo, mesh.area, mesh.perimeter) + missing,
+                mesh.area, mesh.perimeter))
+        _, below_hi = _factor_shifted(K, M, hi)
+        v0 = rng.standard_normal(n)
+        if below_hi > below_lo:
+            slice_vals, slice_vecs = _solve_slice(K, M, lo, hi,
+                                                  below_hi - below_lo, v0)
+            take = min(below_hi, count) - below_lo
+            vals[below_lo:below_lo + take] = slice_vals[:take]
+            vecs[:, below_lo:below_lo + take] = slice_vecs[:, :take]
+        lo, below_lo, slices = hi, below_hi, slices + 1
     if np.any(vals <= 0):
         raise EigensolveError("nonpositive discrete eigenvalue; broken operators")
 
@@ -398,19 +468,23 @@ def solve_lowest(ops, count, seed=0):
     # projected dense pencil restores them to projection level.
     from scipy.linalg import eigh as dense_eigh
 
-    kv = K @ vecs
-    mv = M @ vecs
-    a_proj = vecs.T @ kv
-    b_proj = vecs.T @ mv
-    w, s = dense_eigh(a_proj, b_proj)
-    vals = w
+    vals, s = dense_eigh(vecs.T @ (K @ vecs), vecs.T @ (M @ vecs))
     vecs = vecs @ s
 
+    # Residuals and M-Gram matrix in column blocks, so that no temporary as
+    # large as the basis is formed.
     lu_m = splu(M.tocsc())
-    r = K @ vecs - M @ vecs * vals[None, :]
-    minv_r = lu_m.solve(r)
-    res = np.sqrt(np.abs(np.einsum("ij,ij->j", r, minv_r)))
-    xnorm = np.sqrt(np.einsum("ij,ij->j", vecs, M @ vecs))
+    res = np.empty(count)
+    xnorm = np.empty(count)
+    gram = np.empty((count, count))
+    for j in range(0, count, 64):
+        cols = slice(j, j + 64)
+        x = vecs[:, cols]
+        mx = M @ x
+        r = K @ x - mx * vals[None, cols]
+        res[cols] = np.sqrt(np.abs(np.einsum("ij,ij->j", r, lu_m.solve(r))))
+        xnorm[cols] = np.sqrt(np.einsum("ij,ij->j", x, mx))
+        gram[:, cols] = vecs.T @ mx
     # Gate per mode relative to lambda: |K x - lambda M x|_{M^-1} bounds the
     # absolute eigenvalue error, and double-precision Lanczos cannot push it
     # below ~lambda^2*eps in this norm; lambda-relative 1e-8 still means
@@ -420,11 +494,8 @@ def solve_lowest(ops, count, seed=0):
         raise EigensolveError(
             f"eigensolver residual {rel.max():.3g} exceeds {RESIDUAL_TOL:g} "
             f"after {count} modes")
-
-    gram = vecs.T @ (M @ vecs)
     ortho_dev = float(np.max(np.abs(gram - np.eye(count))))
 
-    mesh = ops.mesh
     n_ok = complete_below(vals, mesh.area, mesh.perimeter)
     trusted = vals[:n_ok]
 
@@ -449,6 +520,7 @@ def solve_lowest(ops, count, seed=0):
         meta={"h": mesh.h, "grading": mesh.grading,
               "chord_error": mesh.chord_error,
               "computed_modes": count, "trusted_modes": n_ok,
+              "slices": slices, "inertia_shift": lo, "inertia_count": below_lo,
               "max_residual": float(rel.max()),
               "ortho_deviation": ortho_dev,
               "drift_rate": drift_c,

@@ -60,7 +60,9 @@ def test_insufficient_spectrum_exits_3_with_cutoff_hint(tmp_path, domain_file,
     tri = domain_file(make_equilateral_triangle(), "triangle")
     assert main(["classify", "--domain", tri, "--cutoff", "5e3",
                  "--out", str(tmp_path)]) == 3
-    assert "need cutoff >=" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "need cutoff >=" in err
+    assert err.count("cutoff >=") == 1
 
 
 def test_malformed_domain_exits_2(tmp_path):

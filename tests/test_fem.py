@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from numpy.testing import assert_allclose
 
+from drumspec import fem_solver
 from drumspec.analytic_spectra import (
     disk_spectrum,
     equilateral_triangle_spectrum,
@@ -11,6 +13,8 @@ from drumspec.analytic_spectra import (
 )
 from drumspec.errors import AssemblyError, EigensolveError, MeshError
 from drumspec.fem_solver import (
+    SLICE_MODES,
+    _factor_shifted,
     _min_angles_deg,
     assemble,
     complete_below,
@@ -265,3 +269,77 @@ class TestPollutionRule:
         assert spec.meta["trusted_modes"] <= spec.meta["computed_modes"]
         assert spec.cutoff == spec.eigenvalues[-1]
         assert "t_min_bias" in spec.meta
+
+
+def dense_eigenvalues(ops):
+    return scipy.linalg.eigh(ops.stiffness.toarray(), ops.mass.toarray(),
+                             eigvals_only=True)
+
+
+@pytest.fixture(scope="module")
+def small_lshape_ops():
+    return assemble(mesh_domain(make_lshape(), 0.04))
+
+
+@pytest.fixture
+def trust_all_modes(monkeypatch):
+    # Compare the whole solve, not only the prefix the pollution rule keeps
+    # on these coarse meshes.
+    monkeypatch.setattr(fem_solver, "complete_below",
+                        lambda lam, area, perimeter: len(lam))
+
+
+class TestSpectrumSlicing:
+    def test_inertia_count_matches_dense(self, small_lshape_ops):
+        ops = small_lshape_ops
+        dense = dense_eigenvalues(ops)
+        # arbitrary shifts plus one squeezed between the closest pair
+        tight = int(np.argmin(np.diff(dense[:200])))
+        shifts = [10.0, 50.0, 500.0, 2000.0, 8000.0,
+                  0.5 * (dense[tight] + dense[tight + 1])]
+        for sigma in shifts:
+            _, below = _factor_shifted(ops.stiffness, ops.mass, sigma)
+            assert below == int(np.count_nonzero(dense < sigma)), sigma
+
+    def test_lshape_matches_dense(self, small_lshape_ops, trust_all_modes):
+        dense = dense_eigenvalues(small_lshape_ops)
+        count = SLICE_MODES + 20
+        spec = solve_lowest(small_lshape_ops, count)
+        assert len(spec) == count
+        assert_allclose(spec.eigenvalues, dense[:count], rtol=1e-10, atol=0)
+        assert spec.meta["slices"] >= 2
+        assert spec.meta["inertia_count"] >= count
+        assert spec.meta["inertia_count"] == int(
+            np.count_nonzero(dense < spec.meta["inertia_shift"]))
+
+    def test_count_ending_on_a_slice_boundary(self, small_lshape_ops,
+                                              trust_all_modes):
+        dense = dense_eigenvalues(small_lshape_ops)
+        count = 2 * SLICE_MODES
+        spec = solve_lowest(small_lshape_ops, count)
+        assert_allclose(spec.eigenvalues, dense[:count], rtol=1e-10, atol=0)
+        # On this mesh the last shift counts exactly ``count`` modes below it.
+        assert spec.meta["inertia_count"] == count
+        assert dense[count - 1] < spec.meta["inertia_shift"] < dense[count]
+
+    def test_square_near_degenerate_pairs(self, square_mesh, trust_all_modes):
+        ops = assemble(square_mesh)
+        dense = dense_eigenvalues(ops)
+        count = 2 * SLICE_MODES
+        # the square's symmetric pairs survive the mesh as close pairs
+        assert np.min(np.diff(dense[:count]) / dense[1:count]) < 1e-3
+        spec = solve_lowest(ops, count)
+        assert_allclose(spec.eigenvalues, dense[:count], rtol=1e-10, atol=0)
+
+    def test_slice_missing_a_mode_is_an_error(self, small_lshape_ops,
+                                              monkeypatch):
+        original = fem_solver.eigsh
+
+        def drop_nearest(*args, sigma, **kwargs):
+            vals, vecs = original(*args, sigma=sigma, **kwargs)
+            keep = np.arange(len(vals)) != np.argmin(np.abs(vals - sigma))
+            return vals[keep], vecs[:, keep]
+
+        monkeypatch.setattr(fem_solver, "eigsh", drop_nearest)
+        with pytest.raises(EigensolveError, match="by inertia"):
+            solve_lowest(small_lshape_ops, 20)
