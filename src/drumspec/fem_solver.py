@@ -204,23 +204,21 @@ def mesh_domain(domain, h, grading=0.5):
         simplices = tri.simplices
         cent = points[simplices].mean(axis=1)
         simplices = simplices[_loops_contain(poly_loops, cent)]
-        edges = np.unique(np.sort(np.concatenate([
-            simplices[:, [0, 1]], simplices[:, [1, 2]], simplices[:, [0, 2]],
-        ]), axis=1), axis=0)
-        vec = points[edges[:, 1]] - points[edges[:, 0]]
+        e0, e1 = np.divmod(np.unique(_edge_keys(
+            simplices, np.roll(simplices, -1, axis=1), len(points))), len(points))
+        vec = points[e1] - points[e0]
         length = np.linalg.norm(vec, axis=1)
-        mid = 0.5 * (points[edges[:, 0]] + points[edges[:, 1]])
+        mid = 0.5 * (points[e0] + points[e1])
         L0 = SPRING_SCALE * size_fn(mid)
         fmag = np.maximum(L0 - length, 0.0) / np.maximum(length, 1e-30)
-        force = np.zeros_like(points)
-        np.add.at(force, edges[:, 0], -fmag[:, None] * vec)
-        np.add.at(force, edges[:, 1], fmag[:, None] * vec)
+        ends = np.concatenate([e0, e1])
+        pull = np.concatenate([-fmag[:, None] * vec, fmag[:, None] * vec])
+        force = np.column_stack([np.bincount(ends, pull[:, k], len(points))
+                                 for k in range(2)])
         prev = points.copy()
         points[free] += RELAX_STEP * force[free]
-        moved = free.copy()
-        bad = ~_loops_contain(poly_loops, points[moved])
-        idx = np.nonzero(moved)[0][bad]
-        points[idx] = prev[idx]
+        escaped = np.nonzero(free)[0][~_loops_contain(poly_loops, points[free])]
+        points[escaped] = prev[escaped]
         max_move = np.max(np.linalg.norm(points[free] - prev[free], axis=1)) \
             if free.any() else 0.0
         if max_move < 5e-3 * h:
@@ -278,25 +276,33 @@ def _min_angles_deg(vertices, triangles):
     return angles.min(axis=1)
 
 
+def _edge_keys(a, b, n):
+    """Undirected edges {a, b} of an n-vertex mesh as int64 keys
+    min * n + max, which sort like the (min, max) pairs."""
+    return np.minimum(a, b).astype(np.int64) * n + np.maximum(a, b)
+
+
 def _check_conformity(mesh):
-    edges = np.sort(np.concatenate([
-        mesh.triangles[:, [0, 1]], mesh.triangles[:, [1, 2]],
-        mesh.triangles[:, [0, 2]]]), axis=1)
-    uniq, counts = np.unique(edges, axis=0, return_counts=True)
+    n = mesh.n_vertices
+    tris = mesh.triangles
+    uniq, counts = np.unique(_edge_keys(tris, np.roll(tris, -1, axis=1), n),
+                             return_counts=True)
     if np.any(counts > 2):
         raise MeshError("non-conforming mesh: an edge is shared by >2 triangles")
-    edge_count = {(int(a), int(b)): int(c) for (a, b), c in zip(uniq, counts)}
-    for li, loop in enumerate(mesh.boundary_loops):
-        for i in range(len(loop)):
-            a, b = int(loop[i]), int(loop[(i + 1) % len(loop)])
-            key = (min(a, b), max(a, b))
-            if edge_count.get(key, 0) != 1:
-                raise MeshError(
-                    f"boundary edge {key} of loop {li} is in "
-                    f"{edge_count.get(key, 0)} triangles (expected 1)")
-    n_interior_edges = sum(1 for c in counts if c == 2)
-    n_bdry_edges = sum(len(loop) for loop in mesh.boundary_loops)
-    if n_interior_edges + n_bdry_edges != len(uniq):
+    loops = mesh.boundary_loops
+    keys = _edge_keys(np.concatenate(loops),
+                      np.concatenate([np.roll(loop, -1) for loop in loops]), n)
+    pos = np.minimum(np.searchsorted(uniq, keys), len(uniq) - 1)
+    in_tris = np.where(uniq[pos] == keys, counts[pos], 0)
+    bad = np.nonzero(in_tris != 1)[0]
+    if len(bad):
+        i = int(bad[0])
+        li = int(np.searchsorted(np.cumsum([len(loop) for loop in loops]), i,
+                                 side="right"))
+        raise MeshError(
+            f"boundary edge {divmod(int(keys[i]), n)} of loop {li} is in "
+            f"{int(in_tris[i])} triangles (expected 1)")
+    if np.count_nonzero(counts == 2) + len(keys) != len(uniq):
         raise MeshError("mesh has hanging boundary edges")
 
 
@@ -331,11 +337,6 @@ def _weyl_lambda_estimate(k, area, perimeter):
     """Eigenvalue k from the two-term Weyl counting function."""
     root = (perimeter + np.sqrt(perimeter ** 2 + 16.0 * PI * area * k)) / (2.0 * area)
     return root ** 2
-
-
-def _weyl_count(lam, area, perimeter):
-    """The two-term Weyl counting function, the inverse of the above."""
-    return (area * lam - perimeter * math.sqrt(lam)) / (4.0 * PI)
 
 
 def complete_below(eigenvalues, area, perimeter):
@@ -418,10 +419,10 @@ def solve_lowest(ops, count, seed=0):
     slice is solved by shift-invert Lanczos about its midpoint; a slice
     whose mode count differs from its inertia difference is an error.  If
     the last boundary still counts fewer than ``count`` modes, further
-    slices are sized from the Weyl density.  So no eigenvalue below the
-    last shift is missing: the meta records the number of ``slices``, the
-    last shift ``inertia_shift`` and the ``inertia_count`` below it.  Every
-    returned pair must satisfy
+    slices are sized from the mode density counted below it.  So no
+    eigenvalue below the last shift is missing: the meta records the number
+    of ``slices``, the last shift ``inertia_shift`` and the
+    ``inertia_count`` below it.  Every returned pair must satisfy
     |K x - lambda M x|_{M^-1} <= RESIDUAL_TOL * |x|_M.  The returned
     Spectrum is truncated and its cutoff set by the Weyl pollution rule, so
     downstream heat-trace tails only see trusted modes.
@@ -445,12 +446,10 @@ def solve_lowest(ops, count, seed=0):
         if slices < len(bounds):
             hi = float(bounds[slices])
         else:
-            # The Weyl estimates fell short of ``count``: size one more
-            # slice from the Weyl density to hold the missing modes.
-            missing = (count - below_lo) * (1.0 + SLICE_PAD)
-            hi = float(_weyl_lambda_estimate(
-                _weyl_count(lo, mesh.area, mesh.perimeter) + missing,
-                mesh.area, mesh.perimeter))
+            # The Weyl estimates fell short of ``count``: at the mode
+            # density the inertia counts have measured below ``lo``, size
+            # one more slice to reach the padded ``count``.
+            hi = lo * count * (1.0 + SLICE_PAD) / max(below_lo, 1)
         _, below_hi = _factor_shifted(K, M, hi)
         v0 = rng.standard_normal(n)
         if below_hi > below_lo:

@@ -429,20 +429,27 @@ class BoundaryLoop:
 
 
 def _polygon_contains(poly, points):
-    """Crossing-number containment test of ``points`` against closed ``poly``."""
+    """Crossing-number containment test of ``points`` against closed ``poly``.
+
+    Edge (a, b) -> (c, d) crosses the horizontal line through a point at
+    height y exactly when min(b, d) <= y < max(b, d), so once the points are
+    sorted by y the points each edge crosses form one contiguous range.  The
+    crossing abscissa is evaluated on those (edge, point) pairs only, and a
+    point is inside when an odd number of crossings lie to its right.
+    """
     pts = np.atleast_2d(points)
-    x, y = pts[:, 0], pts[:, 1]
-    x1, y1 = poly[:, 0], poly[:, 1]
-    x2, y2 = np.roll(x1, -1), np.roll(y1, -1)
-    inside = np.zeros(len(pts), dtype=bool)
-    for a, b, c, d in zip(x1, y1, x2, y2):
-        crosses = (b > y) != (d > y)
-        if not crosses.any():
-            continue
-        with np.errstate(divide="ignore", invalid="ignore"):
-            xint = a + (y - b) * (c - a) / (d - b)
-        inside ^= crosses & (x < xint)
-    return inside
+    order = np.argsort(pts[:, 1])
+    a, b = poly[:, 0], poly[:, 1]
+    c, d = np.roll(a, -1), np.roll(b, -1)
+    ys = pts[order, 1]
+    start = np.searchsorted(ys, np.minimum(b, d))
+    n_cross = np.searchsorted(ys, np.maximum(b, d)) - start
+    edge = np.repeat(np.arange(len(poly)), n_cross)
+    first = np.cumsum(n_cross) - n_cross
+    point = order[np.arange(len(edge)) - np.repeat(first - start, n_cross)]
+    x, y = pts[point, 0], pts[point, 1]
+    xint = a[edge] + (y - b[edge]) * (c[edge] - a[edge]) / (d[edge] - b[edge])
+    return np.bincount(point[x < xint], minlength=len(pts)) % 2 == 1
 
 
 def _loops_contain(polys, points):

@@ -14,6 +14,8 @@ from drumspec.analytic_spectra import (
 from drumspec.errors import AssemblyError, EigensolveError, MeshError
 from drumspec.fem_solver import (
     SLICE_MODES,
+    Mesh,
+    _check_conformity,
     _factor_shifted,
     _min_angles_deg,
     assemble,
@@ -166,6 +168,60 @@ class TestMeshing:
             mesh_domain(dom, 0.2)
 
 
+def hand_mesh(vertices, triangles, boundary_loops):
+    vertices = np.asarray(vertices, dtype=float)
+    is_boundary = np.zeros(len(vertices), dtype=bool)
+    is_boundary[np.concatenate(boundary_loops)] = True
+    return Mesh(vertices=vertices, triangles=np.asarray(triangles),
+                is_boundary=is_boundary, h=1.0, grading=0.0, chord_error=0.0,
+                boundary_loops=[np.asarray(loop) for loop in boundary_loops])
+
+
+UNIT_SQUARE = [(0, 0), (1, 0), (1, 1), (0, 1)]
+
+
+class TestConformity:
+    def test_two_squares_conform(self):
+        shifted = [(x + 2, y) for x, y in UNIT_SQUARE]
+        _check_conformity(hand_mesh(
+            UNIT_SQUARE + shifted, [(0, 1, 2), (0, 2, 3), (4, 5, 6), (4, 6, 7)],
+            [[0, 1, 2, 3], [4, 5, 6, 7]]))
+
+    def test_edge_in_three_triangles(self):
+        mesh = hand_mesh([(0, 0), (1, 0), (0.5, 1), (0.5, -1), (0.5, 2)],
+                         [(0, 1, 2), (1, 0, 3), (0, 1, 4)], [[0, 3, 1, 2]])
+        with pytest.raises(MeshError) as err:
+            _check_conformity(mesh)
+        assert str(err.value) == \
+            "non-conforming mesh: an edge is shared by >2 triangles"
+
+    def test_boundary_edge_in_two_triangles(self):
+        # the second loop starts along the square's diagonal 6-4
+        shifted = [(x + 2, y) for x, y in UNIT_SQUARE]
+        mesh = hand_mesh(
+            UNIT_SQUARE + shifted, [(0, 1, 2), (0, 2, 3), (4, 5, 6), (4, 6, 7)],
+            [[0, 1, 2, 3], [6, 4, 5]])
+        with pytest.raises(MeshError) as err:
+            _check_conformity(mesh)
+        assert str(err.value) == \
+            "boundary edge (4, 6) of loop 1 is in 2 triangles (expected 1)"
+
+    def test_boundary_edge_in_no_triangle(self):
+        mesh = hand_mesh(UNIT_SQUARE, [(0, 1, 2), (0, 2, 3)], [[0, 1, 3, 2]])
+        with pytest.raises(MeshError) as err:
+            _check_conformity(mesh)
+        assert str(err.value) == \
+            "boundary edge (1, 3) of loop 0 is in 0 triangles (expected 1)"
+
+    def test_hanging_boundary_edge(self):
+        # two triangles meeting at vertex 0; only the first is bounded
+        mesh = hand_mesh([(0, 0), (1, 0), (0, 1), (-1, 0), (0, -1)],
+                         [(0, 1, 2), (0, 3, 4)], [[0, 1, 2]])
+        with pytest.raises(MeshError) as err:
+            _check_conformity(mesh)
+        assert str(err.value) == "mesh has hanging boundary edges"
+
+
 class TestEigenvalues:
     def test_square_ground_state_within_a_third_of_a_percent(self):
         spec = fem_spectrum(make_square(), 0.02, 10)
@@ -276,6 +332,10 @@ def dense_eigenvalues(ops):
                              eigvals_only=True)
 
 
+def planned_slices(count):
+    return math.ceil(count / SLICE_MODES)
+
+
 @pytest.fixture(scope="module")
 def small_lshape_ops():
     return assemble(mesh_domain(make_lshape(), 0.04))
@@ -308,6 +368,7 @@ class TestSpectrumSlicing:
         assert len(spec) == count
         assert_allclose(spec.eigenvalues, dense[:count], rtol=1e-10, atol=0)
         assert spec.meta["slices"] >= 2
+        assert spec.meta["slices"] <= planned_slices(count) + 1
         assert spec.meta["inertia_count"] >= count
         assert spec.meta["inertia_count"] == int(
             np.count_nonzero(dense < spec.meta["inertia_shift"]))
@@ -315,10 +376,12 @@ class TestSpectrumSlicing:
     def test_count_ending_on_a_slice_boundary(self, small_lshape_ops,
                                               trust_all_modes):
         dense = dense_eigenvalues(small_lshape_ops)
-        count = 2 * SLICE_MODES
+        count = 168
         spec = solve_lowest(small_lshape_ops, count)
         assert_allclose(spec.eigenvalues, dense[:count], rtol=1e-10, atol=0)
-        # On this mesh the last shift counts exactly ``count`` modes below it.
+        assert spec.meta["slices"] <= planned_slices(count) + 1
+        # On this mesh the last shift, that of a slice added beyond the
+        # planned ones, counts exactly ``count`` modes below it.
         assert spec.meta["inertia_count"] == count
         assert dense[count - 1] < spec.meta["inertia_shift"] < dense[count]
 
@@ -330,6 +393,7 @@ class TestSpectrumSlicing:
         assert np.min(np.diff(dense[:count]) / dense[1:count]) < 1e-3
         spec = solve_lowest(ops, count)
         assert_allclose(spec.eigenvalues, dense[:count], rtol=1e-10, atol=0)
+        assert spec.meta["slices"] <= planned_slices(count) + 1
 
     def test_slice_missing_a_mode_is_an_error(self, small_lshape_ops,
                                               monkeypatch):

@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from drumspec.corpus import EXACT_SEGMENT_DOMAINS
 from drumspec.errors import DomainFileError, InvalidDomainError
 from drumspec.geometry import (
     ArcSegment,
     CurveSegment,
     DomainSpec,
     LineSegment,
+    _polygon_contains,
     detect_corners,
     gauss_bonnet_check,
     load_domain,
@@ -267,9 +269,62 @@ class TestDomainFiles:
             load_domain(path)
 
 
+def polygon_contains_per_edge(poly, points):
+    """Crossing-number test, one edge at a time: the reference that the
+    vectorised _polygon_contains must match bit for bit."""
+    pts = np.atleast_2d(points)
+    x, y = pts[:, 0], pts[:, 1]
+    x1, y1 = poly[:, 0], poly[:, 1]
+    x2, y2 = np.roll(x1, -1), np.roll(y1, -1)
+    inside = np.zeros(len(pts), dtype=bool)
+    for a, b, c, d in zip(x1, y1, x2, y2):
+        crosses = (b > y) != (d > y)
+        if not crosses.any():
+            continue
+        with np.errstate(divide="ignore", invalid="ignore"):
+            xint = a + (y - b) * (c - a) / (d - b)
+        inside ^= crosses & (x < xint)
+    return inside
+
+
+def adversarial_points(poly, rng):
+    """Vertices, points level with a vertex, and points on the edges
+    (horizontal ones included)."""
+    lo, hi = poly.min(axis=0), poly.max(axis=0)
+    nxt = np.roll(poly, -1, axis=0)
+    level = np.column_stack([rng.uniform(lo[0], hi[0], len(poly)), poly[:, 1]])
+    on_edges = [poly + t * (nxt - poly) for t in (0.25, 0.5, 1.0 / 3.0)]
+    return np.concatenate([poly, level, *on_edges])
+
+
 class TestContainment:
     def test_contains_respects_holes(self):
         dom = make_square_with_square_hole()
         inside, in_hole, outside = (0.1, 0.1), (0.5, 0.5), (1.5, 0.5)
         got = dom.contains(np.array([inside, in_hole, outside]))
         assert list(got) == [True, False, False]
+
+    @pytest.mark.parametrize("label", sorted(EXACT_SEGMENT_DOMAINS))
+    def test_matches_per_edge_reference(self, label):
+        rng = np.random.default_rng(7)
+        dom = EXACT_SEGMENT_DOMAINS[label]()
+        for poly in dom._polylines:
+            lo, hi = poly.min(axis=0), poly.max(axis=0)
+            pad = 0.1 * (hi - lo)
+            pts = np.concatenate([
+                rng.uniform(lo - pad, hi + pad, size=(2000, 2)),
+                adversarial_points(poly, rng)])
+            assert np.array_equal(_polygon_contains(poly, pts),
+                                  polygon_contains_per_edge(poly, pts))
+
+    def test_matches_reference_with_hole(self):
+        rng = np.random.default_rng(8)
+        dom = make_square_with_square_hole()
+        outer, hole = dom._polylines
+        pts = np.concatenate([rng.uniform(-0.1, 1.1, size=(4000, 2)),
+                              adversarial_points(outer, rng),
+                              adversarial_points(hole, rng)])
+        expected = polygon_contains_per_edge(outer, pts) \
+            & ~polygon_contains_per_edge(hole, pts)
+        assert expected.any() and not expected.all()
+        assert np.array_equal(dom.contains(pts), expected)
