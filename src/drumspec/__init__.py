@@ -31,7 +31,6 @@ from .heat_trace import (
     TraceSamples,
     corner_term,
     evaluate_trace,
-    halfplane_boundary_correction,
     theoretical_coefficients,
     wedge_trace,
 )

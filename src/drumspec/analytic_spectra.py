@@ -2,15 +2,15 @@
 
 Every generator returns the complete list of eigenvalues up to a cutoff,
 with multiplicity, which is what heat-trace tails require.  Bessel zeros are
-computed by bracketing sign changes of J_nu on a scan grid seeded from the
-McMahon large-zero asymptotics and refining with Brent's method, rather than
-relying on any library zero routine.
+computed for all orders of a spectrum at once, by bracketing sign changes of
+J_nu on a uniform grid that starts just below the first zero and refining
+every bracket with Brent's method, rather than relying on any library zero
+routine.
 """
 
 import math
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import jv
 
 from .errors import EmptySpectrumError, NumericError
@@ -110,46 +110,154 @@ def _mcmahon(nu, k):
             - 4 * (mu - 1) * (7 * mu - 31) / (3 * (8 * beta) ** 3))
 
 
-def bessel_j_zeros(nu, upper):
-    """All positive zeros of J_nu at or below ``upper``, to ~1e-12 relative.
+def _jv(nu, x, lo, hi):
+    """J_nu(x) elementwise; a non-finite value raises NumericError naming
+    the order and the bracket [lo, hi] it was evaluated for."""
+    vals = jv(nu, x)
+    bad = ~np.isfinite(vals)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise NumericError(
+            f"J_{nu[i]:g} evaluation returned {vals[i]} at x={x[i]:.17g} "
+            f"in [{lo[i]:.6g}, {hi[i]:.6g}]")
+    return vals
 
-    Sign changes are located on a scan grid whose spacing comes from the
-    McMahon zero-spacing estimate (consecutive zeros are separated by at
-    least ~pi for nu >= 1/2, slightly more below); each bracket is then
-    refined with Brent's method on J_nu.
+
+def _brentq_lanes(nu, a, b, fa, fb):
+    """Zeros of J_nu in the brackets [a, b], one lane per bracket.
+
+    A lane-parallel port of scipy's ``brentq.c`` with xtol=1e-300,
+    rtol=BESSEL_RTOL and 200 iterations: every lane runs the same floating
+    point operations in the same order as a scalar ``brentq`` call would,
+    starting from the known end values (fa nonzero; fb of the opposite
+    sign, or zero, which returns b), so the zeros are the same doubles.
+    Each iteration makes one J_nu call over the lanes still active.
     """
-    if nu < 0:
+    xtol, rtol = 1e-300, BESSEL_RTOL
+    root = np.empty(a.size)
+    live, lo, hi = np.arange(a.size), a, b
+    xpre, xcur, fpre, fcur = a, b, fa, fb
+    xblk = fblk = spre = scur = np.zeros(a.size)
+    for _ in range(200):
+        flip = (fpre != 0) & (fcur != 0) & (np.signbit(fpre) != np.signbit(fcur))
+        xblk = np.where(flip, xpre, xblk)
+        fblk = np.where(flip, fpre, fblk)
+        spre = np.where(flip, xcur - xpre, spre)
+        scur = np.where(flip, xcur - xpre, scur)
+        swap = np.abs(fblk) < np.abs(fcur)
+        xpre, xcur, xblk = (np.where(swap, xcur, xpre), np.where(swap, xblk, xcur),
+                            np.where(swap, xcur, xblk))
+        fpre, fcur, fblk = (np.where(swap, fcur, fpre), np.where(swap, fblk, fcur),
+                            np.where(swap, fcur, fblk))
+
+        delta = (xtol + rtol * np.abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        conv = (fcur == 0) | (np.abs(sbis) < delta)
+        if conv.any():
+            root[live[conv]] = xcur[conv]
+            (live, nu, lo, hi, xpre, xcur, xblk, fpre, fcur, fblk, spre, scur,
+             delta, sbis) = (v[~conv] for v in (
+                live, nu, lo, hi, xpre, xcur, xblk, fpre, fcur, fblk, spre, scur,
+                delta, sbis))
+        if live.size == 0:
+            return root
+
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            # interpolate (secant) where xpre == xblk, else extrapolate
+            # (inverse quadratic)
+            s_int = -fcur * (xcur - xpre) / (fcur - fpre)
+            dpre = (fpre - fcur) / (xpre - xcur)
+            dblk = (fblk - fcur) / (xblk - xcur)
+            s_ext = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+        stry = np.where(xpre == xblk, s_int, s_ext)
+        good = ((np.abs(spre) > delta) & (np.abs(fcur) < np.abs(fpre))
+                & (2 * np.abs(stry) < np.minimum(np.abs(spre), 3 * np.abs(sbis) - delta)))
+        spre = np.where(good, scur, sbis)
+        scur = np.where(good, stry, sbis)
+
+        xpre, fpre = xcur, fcur
+        xcur = xcur + np.where(np.abs(scur) > delta, scur,
+                               np.where(sbis > 0, delta, -delta))
+        fcur = _jv(nu, xcur, lo, hi)
+    raise NumericError(
+        f"Bessel zero refinement failed for nu={nu[0]:g} in "
+        f"[{lo[0]:.6g}, {hi[0]:.6g}]: no convergence in 200 iterations")
+
+
+def bessel_j_zeros(orders, upper):
+    """All positive zeros of J_nu at or below ``upper`` for every nu in
+    ``orders``, to ~1e-12 relative, as one flat array: order by order, as
+    given, and ascending within each order.
+
+    J_nu is scanned on a uniform grid of spacing pi/4 that starts just
+    below its first zero (nu + 1.85 nu^(1/3)) and ends past ``upper``; the
+    grids of all orders are concatenated.  Consecutive zeros are more than
+    3.11 apart for every nu >= 0 (slightly less than pi below nu = 1/2,
+    e.g. j_{0,2} - j_{0,1} = 3.1153; more than pi above it), so an interval
+    of three grid steps (3 pi/4) holds at most one zero: J_nu is evaluated
+    on every third node and on the last one, and each sign change is
+    narrowed to its grid step with at most two more evaluations.  All
+    brackets of all orders are refined at once by Brent's method.
+    """
+    orders = np.asarray(orders, dtype=float)
+    if np.any(orders < 0):
         raise ValueError("order must be nonnegative")
-    if upper <= nu:
-        return np.array([])
-    # The first zero exceeds nu + 1.85 nu^(1/3); start scanning slightly below.
-    lo = max(nu + 1.5 * nu ** (1.0 / 3.0) - 1.0, 1e-3) if nu > 0 else 1.0
     step = math.pi / 4.0
-    grid = np.arange(lo, upper + 2 * step, step)
-    vals = jv(nu, grid)
-    if not np.all(np.isfinite(vals)):
-        raise NumericError(f"J_{nu} evaluation returned non-finite values")
-    sign_change = np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]
-    zeros = []
-    for i in sign_change:
-        a_br, b_br = grid[i], grid[i + 1]
-        try:
-            z = brentq(lambda x: jv(nu, x), a_br, b_br,
-                       xtol=1e-300, rtol=BESSEL_RTOL, maxiter=200)
-        except Exception as exc:
-            raise NumericError(
-                f"Bessel zero refinement failed for nu={nu} "
-                f"in [{a_br:.6g}, {b_br:.6g}]: {exc}") from exc
-        if z <= upper:
-            zeros.append(z)
-    zeros = np.array(zeros)
+    grids = []
+    for nu in orders.tolist():
+        if upper <= nu:
+            grids.append(np.empty(0))
+            continue
+        # The first zero exceeds nu + 1.85 nu^(1/3); start scanning slightly below.
+        lo = max(nu + 1.5 * nu ** (1.0 / 3.0) - 1.0, 1e-3) if nu > 0 else 1.0
+        grids.append(np.arange(lo, upper + 2 * step, step))
+    sizes = np.array([g.size for g in grids], dtype=np.int64)
+    x = np.concatenate([np.empty(0)] + grids)
+    order = np.repeat(np.arange(orders.size), sizes)
+    nu = orders[order]
+    first = np.cumsum(sizes) - sizes
+    last = first + sizes - 1
+    node = np.arange(x.size) - first[order]
+    coarse = np.flatnonzero((node % 3 == 0) | (node == sizes[order] - 1))
+
+    # J_nu on the coarse nodes; a sign change between neighbours of one
+    # order brackets exactly one zero.
+    f = np.full(x.size, np.nan)
+    f[coarse] = _jv(nu[coarse], x[coarse], x[first[order[coarse]]],
+                    x[last[order[coarse]]])
+    c0, c1 = coarse[:-1], coarse[1:]
+    change = (order[c0] == order[c1]) & (np.sign(f[c0]) * np.sign(f[c1]) < 0)
+    c0, c1 = c0[change], c1[change]
+
+    # Narrow to the first grid step whose right end leaves the sign of f[c0].
+    right = c0 + 1
+    moving = right < c1
+    while moving.any():
+        r = right[moving]
+        f[r] = _jv(nu[r], x[r], x[c0[moving]], x[c1[moving]])
+        moving[moving] = np.sign(f[r]) == np.sign(f[c0[moving]])
+        right[moving] += 1
+        moving &= right < c1
+    left = right - 1
+
+    zeros = _brentq_lanes(nu[left], x[left], x[right], f[left], f[right])
+    inside = zeros <= upper
+    zeros, lane_order = zeros[inside], order[left][inside]
+
     # Gross-blunder check on spacing: consecutive zeros approach pi apart
     # away from the turning point and ~1.4 nu^(1/3) apart near it.
-    gap_cap = 1.5 * math.pi + 1.6 * max(nu, 1.0) ** (1.0 / 3.0) + 1.0
-    if len(zeros) >= 2 and np.any(np.diff(zeros) > gap_cap):
-        raise NumericError(f"suspicious gap in J_{nu} zero sequence")
-    if len(zeros) >= 1 and nu <= 2 and abs(zeros[-1] - _mcmahon(nu, len(zeros))) > 1.0:
-        raise NumericError(f"J_{nu} zero count disagrees with McMahon estimate")
+    gap_cap = 1.5 * math.pi + 1.6 * np.maximum(orders, 1.0) ** (1.0 / 3.0) + 1.0
+    same = lane_order[1:] == lane_order[:-1]
+    gap = same & (np.diff(zeros) > gap_cap[lane_order[1:]])
+    if gap.any():
+        raise NumericError(
+            f"suspicious gap in J_{orders[lane_order[1:][gap][0]]:g} zero sequence")
+    counts = np.bincount(lane_order, minlength=orders.size)
+    ends = np.cumsum(counts) - 1
+    for i in np.flatnonzero((orders <= 2) & (counts > 0)):
+        if abs(zeros[ends[i]] - _mcmahon(orders[i], counts[i])) > 1.0:
+            raise NumericError(
+                f"J_{orders[i]:g} zero count disagrees with McMahon estimate")
     return zeros
 
 
@@ -158,18 +266,10 @@ def disk_spectrum(radius, cutoff):
     if radius <= 0:
         raise ValueError("radius must be positive")
     upper = radius * math.sqrt(cutoff)
-    vals = []
-    nu = 0
-    while True:
-        zeros = bessel_j_zeros(nu, upper)
-        if zeros.size == 0:
-            break
-        lam = (zeros / radius) ** 2
-        vals.append(lam)
-        if nu > 0:
-            vals.append(lam)  # sin and cos angular factors
-        nu += 1
-    flat = np.concatenate(vals) if vals else np.array([])
+    # The first zero of J_nu exceeds nu, so orders from upper on add nothing.
+    lam0 = (bessel_j_zeros([0], upper) / radius) ** 2
+    lam = (bessel_j_zeros(range(1, math.ceil(upper)), upper) / radius) ** 2
+    flat = np.concatenate([lam0, lam, lam])  # sin and cos angular factors
     return _finish(flat, cutoff, "analytic", f"disk-{radius}",
                    area=math.pi * radius ** 2, perimeter=2 * math.pi * radius)
 
@@ -181,18 +281,12 @@ def sector_spectrum(theta, radius, cutoff):
     if radius <= 0:
         raise ValueError("radius must be positive")
     upper = radius * math.sqrt(cutoff)
-    vals = []
+    orders = []
     m = 1
-    while True:
-        nu = m * math.pi / theta
-        if nu > upper:  # first zero exceeds nu, so no contribution
-            break
-        zeros = bessel_j_zeros(nu, upper)
-        if zeros.size == 0:
-            break
-        vals.append((zeros / radius) ** 2)
+    while m * math.pi / theta <= upper:  # first zero exceeds nu
+        orders.append(m * math.pi / theta)
         m += 1
-    flat = np.concatenate(vals) if vals else np.array([])
+    flat = (bessel_j_zeros(orders, upper) / radius) ** 2
     area = 0.5 * theta * radius ** 2
     return _finish(flat, cutoff, "analytic", f"sector-{theta:.6g}-R{radius}",
                    area=area, perimeter=2 * radius + theta * radius)

@@ -12,9 +12,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
 
-from .errors import ConsistencyError, EmptySpectrumError, NumericError
+from .errors import ConsistencyError, EmptySpectrumError
 from .geometry import detect_corners
 
 PI = math.pi
@@ -122,8 +121,8 @@ def evaluate_trace(spectrum, grid):
     4 pi K / cutoff.  Grid points whose bound exceeds 10% of the partial sum
     are flagged, not rejected.
 
-    Summation is in ascending eigenvalue order with exact (fsum)
-    accumulation, so results are independent of any internal chunking.
+    Each grid point's terms are summed exactly (fsum), so the results do
+    not depend on the order or chunking of the summation.
     """
     t = np.asarray(grid, dtype=float)
     if t.size == 0 or np.any(t <= 0):
@@ -138,8 +137,7 @@ def evaluate_trace(spectrum, grid):
     if area is None:
         area = 4.0 * PI * len(lam) / spectrum.cutoff
 
-    terms = np.exp(-np.outer(lam, t))
-    values = np.array([math.fsum(terms[:, j]) for j in range(t.size)])
+    values = np.array([math.fsum(np.exp(-(tj * lam)).tolist()) for tj in t])
     tails = DEFAULT_TAIL_SAFETY * area * np.exp(-spectrum.cutoff * t) / (4.0 * PI * t)
     # Positive by definition; keep it so when exp underflows at huge cutoff*t.
     tails = np.maximum(tails, np.finfo(float).tiny)
@@ -164,26 +162,6 @@ def wedge_trace(area, side_length, theta, t):
     return (area / (4.0 * PI * t)
             - side_length / (8.0 * math.sqrt(PI * t))
             + corner_term(theta))
-
-
-def halfplane_boundary_correction(t, length):
-    """Boundary term -L/(8 sqrt(pi t)) of the Dirichlet half-plane trace.
-
-    Also re-derives the constant by quadrature of the image-charge diagonal
-    -exp(-x^2/t)/(4 pi t) over x in (0, inf) per unit boundary length, and
-    fails loudly if the two disagree: this is a structural self-test of the
-    boundary-term normalization.
-    """
-    if t <= 0 or length <= 0:
-        raise ValueError("t and length must be positive")
-    closed_form = -length / (8.0 * math.sqrt(PI * t))
-    per_unit, _ = quad(lambda x: -math.exp(-x * x / t) / (4.0 * PI * t),
-                       0.0, np.inf, epsabs=1e-14, epsrel=1e-12)
-    if abs(per_unit * length - closed_form) > 1e-8 * abs(closed_form):
-        raise NumericError(
-            f"half-plane boundary quadrature {per_unit * length!r} does not "
-            f"match the closed form {closed_form!r}")
-    return closed_form
 
 
 # ---------------------------------------------------------------------------

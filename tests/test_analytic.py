@@ -3,8 +3,12 @@ import math
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.optimize import brentq
+from scipy.special import jv
 
+import drumspec.analytic_spectra as analytic_spectra
 from drumspec.analytic_spectra import (
+    BESSEL_RTOL,
     Spectrum,
     bessel_j_zeros,
     disk_spectrum,
@@ -17,7 +21,7 @@ from drumspec.analytic_spectra import (
     weyl_ratio,
     write_spectrum,
 )
-from drumspec.errors import EmptySpectrumError
+from drumspec.errors import EmptySpectrumError, NumericError
 from drumspec.geometry import (
     make_disk,
     make_equilateral_triangle,
@@ -66,6 +70,22 @@ def bisection_bessel_zero(nu, k, dps=25):
         raise AssertionError("unreachable")
 
 
+def scan_brentq_zeros(nu, upper):
+    """Reference finder, one order at a time: J_nu on the whole pi/4 scan
+    grid, then one scalar brentq per sign change."""
+    if upper <= nu:
+        return np.array([])
+    lo = max(nu + 1.5 * nu ** (1.0 / 3.0) - 1.0, 1e-3) if nu > 0 else 1.0
+    step = math.pi / 4.0
+    grid = np.arange(lo, upper + 2 * step, step)
+    vals = jv(nu, grid)
+    sign_change = np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]
+    zeros = [brentq(lambda x: jv(nu, x), grid[i], grid[i + 1],
+                    xtol=1e-300, rtol=BESSEL_RTOL, maxiter=200)
+             for i in sign_change]
+    return np.array([z for z in zeros if z <= upper])
+
+
 class TestBesselZeros:
     def test_oracle_reproduces_frozen_values(self):
         assert_allclose(bisection_bessel_zero(0, 1) ** 2, J01_SQ, rtol=1e-12)
@@ -75,7 +95,7 @@ class TestBesselZeros:
 
     def test_production_zeros_match_oracle(self):
         for nu in [0, 1, 2.0, 0.5, 1.5, 7.25, 40.0]:
-            zeros = bessel_j_zeros(nu, 60.0)
+            zeros = bessel_j_zeros([nu], 60.0)
             assert len(zeros) > 0
             for k in sorted({1, len(zeros)}):
                 assert_allclose(zeros[k - 1], bisection_bessel_zero(nu, k),
@@ -83,13 +103,54 @@ class TestBesselZeros:
 
     def test_interlacing(self):
         for nu in [0.0, 1.0, 3.5, 10.0]:
-            z0 = bessel_j_zeros(nu, 80.0)
-            z1 = bessel_j_zeros(nu + 1.0, 80.0)
+            z0 = bessel_j_zeros([nu], 80.0)
+            z1 = bessel_j_zeros([nu + 1.0], 80.0)
             for k in range(len(z1) - 1):
                 assert z0[k] < z1[k] < z0[k + 1]
 
     def test_empty_below_order(self):
-        assert bessel_j_zeros(10.0, 5.0).size == 0
+        assert bessel_j_zeros([10.0], 5.0).size == 0
+        assert bessel_j_zeros([10.0, 5.0], 5.0).size == 0
+        assert bessel_j_zeros([], 5.0).size == 0
+
+    def test_all_orders_equal_per_order_scan_and_brentq(self):
+        # Integer orders (disk) and sector orders m pi/theta, with uppers
+        # from below the first zero to the sqrt of a 1e4 cutoff, and a few
+        # orders, not in ascending order, up to the sqrt of 4e5; orders at
+        # or above upper contribute nothing.
+        cases = []
+        for upper in [0.5, 2.4, 7.0, 31.0, math.sqrt(1.0e4)]:
+            cases.append((list(range(int(upper) + 3)), upper))
+            for theta in [PI / 2, PI, 2 * PI / 3, 1.3, 5.9]:
+                m_max = int(upper * theta / PI) + 2
+                cases.append(([m * PI / theta for m in range(1, m_max + 1)], upper))
+        upper = math.sqrt(4.0e5)
+        cases.append(([0, 1, 2, 0.25, 7 * PI / 1.3, 150.0, 402.5, 620.0, 630.0,
+                       633.0], upper))
+        for orders, upper in cases:
+            expect = np.concatenate(
+                [np.empty(0)] + [scan_brentq_zeros(nu, upper) for nu in orders])
+            assert np.array_equal(bessel_j_zeros(orders, upper), expect)
+
+    def test_nan_from_jv_raises(self, monkeypatch):
+        monkeypatch.setattr(analytic_spectra, "jv",
+                            lambda nu, x: np.full(np.shape(x), np.nan))
+        with pytest.raises(NumericError, match="J_2"):
+            bessel_j_zeros([2.0], 30.0)
+
+    def test_nan_during_refinement_raises(self, monkeypatch):
+        # The scan and the narrowing (at most three calls) succeed; a Brent
+        # step fails.
+        calls = []
+
+        def flaky(nu, x):
+            calls.append(1)
+            return jv(nu, x) if len(calls) <= 3 else np.full(np.shape(x), np.nan)
+
+        monkeypatch.setattr(analytic_spectra, "jv", flaky)
+        with pytest.raises(NumericError, match=r"J_2 .* in \["):
+            bessel_j_zeros([2.0], 30.0)
+        assert len(calls) == 4
 
 
 class TestRectangle:

