@@ -61,15 +61,27 @@ class Spectrum:
         """Sizes of clusters within MULTIPLICITY_RTOL of their first
         eigenvalue, one entry per eigenvalue."""
         lam = self.eigenvalues
-        hints = np.ones(len(lam), dtype=int)
-        i = 0
-        while i < len(lam):
-            j = i + 1
-            while j < len(lam) and lam[j] - lam[i] <= MULTIPLICITY_RTOL * lam[i]:
-                j += 1
-            hints[i:j] = j - i
-            i = j
-        return hints
+        n = len(lam)
+        tol = MULTIPLICITY_RTOL * lam
+        # A cluster opens at i when lam[i - 1] is out of reach of lam[i]; no
+        # smaller eigenvalue reaches it then either.  Clusters grow from all
+        # such openings at once, one eigenvalue per pass.
+        opens = np.concatenate([[True], lam[1:] - lam[:-1] > tol[:-1], [True]])
+        starts = [np.flatnonzero(opens[:-1])]
+        while len(starts[-1]):
+            start = starts[-1]
+            end = start + 1
+            grow = end < n
+            while grow.any():
+                k = np.flatnonzero(grow)
+                grow[k] = lam[end[k]] - lam[start[k]] <= tol[start[k]]
+                end += grow
+                grow &= end < n
+            # A cluster that stops inside a run of close eigenvalues hands
+            # the rest of the run to a cluster starting where it stopped.
+            starts.append(end[~opens[end]])
+        size = np.diff(np.sort(np.concatenate(starts + [[n]])))
+        return np.repeat(size, size)
 
 
 def _finish(values, cutoff, source, label, area=None, perimeter=None, meta=None):

@@ -3,8 +3,12 @@
 Meshing is a force-equilibrium Delaunay scheme: boundary points are walked
 at the local target size and held fixed, interior points start on a hex
 lattice (plus radial fans inside reentrant-corner grading zones) and relax
-under repulsion-only edge springs, retriangulating as they move.  Curved
-segments are resolved by chords whose sagitta stays below h^2/diam.
+under repulsion-only edge springs.  The springs follow the edges of the
+last Delaunay triangulation, which is redone only once some interior point
+has moved RETRI_MOVE local target sizes from where it saw the point
+(Persson & Strang 2004), and once more at the end.  Flat slivers along the
+boundary are dropped from the final triangles.  Curved segments are
+resolved by chords whose sagitta stays below h^2/diam.
 
 Assembly uses the exact per-triangle linear-element formulas; the Dirichlet
 condition is imposed by eliminating boundary rows and columns.  The lowest
@@ -33,6 +37,7 @@ PI = math.pi
 
 RELAX_ITERS = 40
 RELAX_STEP = 0.2
+RETRI_MOVE = 0.1   # retriangulate once a point moves this many local sizes
 SPRING_SCALE = 1.2
 POLLUTION_DEV = 0.05
 POLLUTION_KMIN = 30
@@ -40,6 +45,7 @@ RESIDUAL_TOL = 1e-8
 SLICE_MODES = 75   # modes per spectrum slice
 SLICE_PAD = 0.05   # slice boundaries sit at Weyl estimates for 5% more modes
 SLICE_EXTRA = 2    # Lanczos asks for this many modes beyond a slice's count
+BLOCK = 64         # columns or rows per block in the Rayleigh-Ritz step
 
 
 @dataclass
@@ -196,16 +202,21 @@ def mesh_domain(domain, h, grading=0.5):
     if len(points) < 6:
         raise MeshError("too few points; decrease h")
 
-    # Force-equilibrium relaxation of interior points.
+    # Force-equilibrium relaxation of interior points.  The edge list is
+    # rebuilt only once a free point has moved RETRI_MOVE local sizes away
+    # from where the last triangulation saw it (Persson & Strang 2004).
     free = np.zeros(len(points), dtype=bool)
     free[n_bdry:] = True
+    anchor = None
     for _ in range(RELAX_ITERS):
-        tri = Delaunay(points)
-        simplices = tri.simplices
-        cent = points[simplices].mean(axis=1)
-        simplices = simplices[_loops_contain(poly_loops, cent)]
-        e0, e1 = np.divmod(np.unique(_edge_keys(
-            simplices, np.roll(simplices, -1, axis=1), len(points))), len(points))
+        if anchor is None or np.any(np.linalg.norm(
+                points[free] - anchor, axis=1) > anchor_move):
+            simplices = _triangulate(points, poly_loops)
+            e0, e1 = np.divmod(np.unique(_edge_keys(
+                simplices, np.roll(simplices, -1, axis=1), len(points))),
+                len(points))
+            anchor = points[free]
+            anchor_move = RETRI_MOVE * size_fn(anchor)
         vec = points[e1] - points[e0]
         length = np.linalg.norm(vec, axis=1)
         mid = 0.5 * (points[e0] + points[e1])
@@ -224,10 +235,16 @@ def mesh_domain(domain, h, grading=0.5):
         if max_move < 5e-3 * h:
             break
 
-    tri = Delaunay(points)
-    simplices = tri.simplices
-    cent = points[simplices].mean(axis=1)
-    simplices = simplices[_loops_contain(poly_loops, cent)]
+    simplices = _triangulate(points, poly_loops)
+    p = points[simplices]
+    area2 = (p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1]) \
+        - (p[:, 1, 1] - p[:, 0, 1]) * (p[:, 2, 0] - p[:, 0, 0])
+    # Once a rigid motion breaks the exact collinearity of the points along
+    # a straight edge, Qhull leaves flat slivers there that the centroid
+    # test can keep: drop them.
+    keep = ~(np.all(simplices < n_bdry, axis=1)
+             & (np.abs(area2) <= 1e-10 * h * h))
+    simplices, area2 = simplices[keep], area2[keep]
     if len(simplices) == 0:
         raise MeshError("triangulation collapsed; decrease h")
 
@@ -244,15 +261,9 @@ def mesh_domain(domain, h, grading=0.5):
         raise MeshError("a boundary point was orphaned; decrease h")
 
     # Enforce CCW orientation and positive areas.
-    p0 = vertices[triangles[:, 0]]
-    p1 = vertices[triangles[:, 1]]
-    p2 = vertices[triangles[:, 2]]
-    area2 = (p1[:, 0] - p0[:, 0]) * (p2[:, 1] - p0[:, 1]) \
-        - (p1[:, 1] - p0[:, 1]) * (p2[:, 0] - p0[:, 0])
     flip = area2 < 0
     triangles[flip] = triangles[flip][:, [0, 2, 1]]
-    area2 = np.abs(area2)
-    if np.any(area2 <= 1e-14 * h * h):
+    if np.any(np.abs(area2) <= 1e-14 * h * h):
         raise MeshError("degenerate triangle produced; decrease h")
 
     mesh = Mesh(vertices=vertices, triangles=triangles, is_boundary=is_boundary,
@@ -262,6 +273,12 @@ def mesh_domain(domain, h, grading=0.5):
                 meta={"min_angle_deg": _min_angles_deg(vertices, triangles).min()})
     _check_conformity(mesh)
     return mesh
+
+
+def _triangulate(points, poly_loops):
+    """Delaunay triangles of points whose centroids lie in the domain."""
+    simplices = Delaunay(points).simplices
+    return simplices[_loops_contain(poly_loops, points[simplices].mean(axis=1))]
 
 
 def _min_angles_deg(vertices, triangles):
@@ -467,17 +484,26 @@ def solve_lowest(ops, count, seed=0):
     # projected dense pencil restores them to projection level.
     from scipy.linalg import eigh as dense_eigh
 
-    vals, s = dense_eigh(vecs.T @ (K @ vecs), vecs.T @ (M @ vecs))
-    vecs = vecs @ s
+    # The projections, the rotation of the basis, the residuals and the
+    # M-Gram matrix all go in blocks of BLOCK columns or rows, so that no
+    # temporary as large as the basis is formed.  The rotation works in
+    # place because each row of V s depends only on the same row of V.
+    k_proj = np.empty((count, count))
+    m_proj = np.empty((count, count))
+    for j in range(0, count, BLOCK):
+        cols = slice(j, j + BLOCK)
+        k_proj[:, cols] = vecs.T @ (K @ vecs[:, cols])
+        m_proj[:, cols] = vecs.T @ (M @ vecs[:, cols])
+    vals, s = dense_eigh(k_proj, m_proj)
+    for i in range(0, n, BLOCK):
+        vecs[i:i + BLOCK] = vecs[i:i + BLOCK] @ s
 
-    # Residuals and M-Gram matrix in column blocks, so that no temporary as
-    # large as the basis is formed.
     lu_m = splu(M.tocsc())
     res = np.empty(count)
     xnorm = np.empty(count)
     gram = np.empty((count, count))
-    for j in range(0, count, 64):
-        cols = slice(j, j + 64)
+    for j in range(0, count, BLOCK):
+        cols = slice(j, j + BLOCK)
         x = vecs[:, cols]
         mx = M @ x
         r = K @ x - mx * vals[None, cols]

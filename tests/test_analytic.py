@@ -9,6 +9,7 @@ from scipy.special import jv
 import drumspec.analytic_spectra as analytic_spectra
 from drumspec.analytic_spectra import (
     BESSEL_RTOL,
+    MULTIPLICITY_RTOL,
     Spectrum,
     bessel_j_zeros,
     disk_spectrum,
@@ -283,6 +284,46 @@ class TestSpectrumType:
     def test_multiplicity_hints(self):
         spec = Spectrum([1.0, 2.0, 2.0, 3.0], 10.0, "analytic")
         assert list(spec.multiplicity_hints()) == [1, 2, 2, 1]
+
+    @pytest.mark.parametrize("spec", [
+        disk_spectrum(1.0, 5e3),
+        rectangle_spectrum(1.0, 1.0, 2e4),
+        sector_spectrum(PI / 3, 1.0, 5e3),
+        # a multiplicity-3 cluster, then a run of eigenvalues spaced just
+        # under the tolerance, which splits into clusters of two
+        Spectrum([1.0, 2.0, 2.0, 2.0, 3.0, 3.0 + 2.9e-9, 3.0 + 5.8e-9,
+                  3.0 + 8.7e-9, 4.0], 10.0, "analytic"),
+    ], ids=["disk", "square", "sector", "chained"])
+    def test_multiplicity_hints_equal_cluster_loop(self, spec):
+        hints = spec.multiplicity_hints()
+        assert np.array_equal(hints, multiplicity_hints_loop(spec.eigenvalues))
+        assert hints.dtype == np.int64
+
+    def test_multiplicity_hints_at_the_tolerance(self):
+        # gaps drawn around the tolerance, where lam[j] - lam[i] <= rtol *
+        # lam[i] and lam[j] <= lam[i] * (1 + rtol) can disagree
+        rng = np.random.default_rng(3)
+        steps = rng.choice([0.0, 0.5, 1.0, 1.5], size=4000) * 1e-9
+        lam = 10.0 * np.cumprod(1.0 + steps) * np.repeat(
+            np.arange(1, 81), 50)
+        lam = np.sort(lam)
+        spec = Spectrum(lam, lam[-1], "analytic")
+        assert np.array_equal(spec.multiplicity_hints(),
+                              multiplicity_hints_loop(lam))
+
+
+def multiplicity_hints_loop(lam):
+    """Cluster sizes by one greedy pass: a cluster runs from its first
+    eigenvalue lam[i] while lam[j] - lam[i] <= MULTIPLICITY_RTOL * lam[i]."""
+    hints = np.ones(len(lam), dtype=int)
+    i = 0
+    while i < len(lam):
+        j = i + 1
+        while j < len(lam) and lam[j] - lam[i] <= MULTIPLICITY_RTOL * lam[i]:
+            j += 1
+        hints[i:j] = j - i
+        i = j
+    return hints
 
 
 class TestSpectrumFiles:

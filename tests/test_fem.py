@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.spatial
 from numpy.testing import assert_allclose
 
 from drumspec import fem_solver
@@ -11,6 +12,7 @@ from drumspec.analytic_spectra import (
     equilateral_triangle_spectrum,
     rectangle_spectrum,
 )
+from drumspec.corpus import ISOSPECTRAL_PAIR
 from drumspec.errors import AssemblyError, EigensolveError, MeshError
 from drumspec.fem_solver import (
     SLICE_MODES,
@@ -28,6 +30,7 @@ from drumspec.geometry import (
     make_disk,
     make_equilateral_triangle,
     make_lshape,
+    make_polygon,
     make_rectangle,
     make_square,
 )
@@ -166,6 +169,79 @@ class TestMeshing:
         dom = make_rectangle(1.0, 0.01)
         with pytest.raises(MeshError, match="loop|short|coarse"):
             mesh_domain(dom, 0.2)
+
+
+def gww_a():
+    return make_polygon(ISOSPECTRAL_PAIR["gww-a"], label="gww-a")
+
+
+@pytest.fixture
+def delaunay_calls(monkeypatch):
+    """The point sets fem_solver hands to Delaunay, in call order."""
+    calls = []
+
+    def counting(points):
+        calls.append(points.copy())
+        return scipy.spatial.Delaunay(points)
+
+    monkeypatch.setattr(fem_solver, "Delaunay", counting)
+    return calls
+
+
+class TestRetriangulationTrigger:
+    def test_fewer_delaunay_calls(self, delaunay_calls):
+        mesh = mesh_domain(gww_a(), 0.07)
+        # 40 relaxation iterations and the final triangulation were 41 calls
+        assert 2 < len(delaunay_calls) <= 25
+        # the final call triangulates the relaxed points
+        assert np.array_equal(delaunay_calls[-1], mesh.vertices)
+        assert mesh.meta["min_angle_deg"] >= 20.0
+
+    def test_first_and_final_calls_always_happen(self, delaunay_calls,
+                                                 monkeypatch):
+        monkeypatch.setattr(fem_solver, "RETRI_MOVE", math.inf)
+        mesh_domain(gww_a(), 0.07)
+        assert len(delaunay_calls) == 2
+        assert not np.array_equal(delaunay_calls[0], delaunay_calls[1])
+
+
+def rigid_motion(index):
+    """Motion ``index`` of twelve drawn from default_rng(12345): a rotation
+    by U(0, 2 pi), then a shift by U(-2, 2)^2."""
+    rng = np.random.default_rng(12345)
+    for _ in range(index + 1):
+        angle = rng.uniform(0.0, 2.0 * PI)
+        shift = rng.uniform(-2.0, 2.0, size=2)
+    c, s = math.cos(angle), math.sin(angle)
+    return np.array([[c, -s], [s, c]]), shift
+
+
+class TestRigidMotions:
+    # Without the boundary sliver filter, each of these motions leaves flat
+    # slivers that fail the degenerate-triangle or conformity checks.
+    @pytest.mark.parametrize("domain, h, index", [
+        (make_lshape, 0.02, 1),   # angle 4.2490
+        (make_lshape, 0.02, 5),   # angle 5.5699
+        (gww_a, 0.1, 2),          # angle 3.7593
+    ])
+    def test_moved_domain_meshes(self, domain, h, index):
+        dom = domain()
+        mesh = mesh_domain(dom.transformed(*rigid_motion(index)), h)
+        p = mesh.vertices[mesh.triangles]
+        area2 = (p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1]) \
+            - (p[:, 1, 1] - p[:, 0, 1]) * (p[:, 2, 0] - p[:, 0, 0])
+        assert np.all(area2 > 0)
+        assert abs(0.5 * area2.sum() - dom.area()) < 1e-9
+        assert interior_min_angle_deg(mesh) >= 20.0
+
+    def test_moved_lshape_modes_match(self, lshape_mesh):
+        moved = make_lshape().transformed(*rigid_motion(5))
+        lam = fem_spectrum(moved, 0.02, 40).eigenvalues
+        ref = solve_lowest(assemble(lshape_mesh), 40).eigenvalues
+        assert len(lam) == len(ref) == 40
+        # the two meshes differ, so the modes agree to the discretisation
+        # error of the mesh difference, not to rounding
+        assert_allclose(lam, ref, rtol=2.5e-3)
 
 
 def hand_mesh(vertices, triangles, boundary_loops):
