@@ -18,7 +18,12 @@ slices of a few dozen modes, each solved by ARPACK in shift-invert mode
 about its midpoint, and the inertia of K - sigma M at every slice boundary
 counts the eigenvalues below it exactly (Sylvester's law of inertia).  Each
 slice must yield exactly its counted modes, so the spectrum is proven
-complete below the last shift.
+complete below the last shift.  Each slice is finished as soon as it is
+solved, by a Rayleigh-Ritz step on its own vectors and a residual check, so
+no basis wider than one slice is kept.  The residual gate needs no
+factorisation of M: for P1 triangles diag(M)^-1 M has its eigenvalues in
+[1/2, 2] (Wathen 1987), so sqrt(2) times the residual in the diag(M)^-1
+norm bounds it in the M^-1 norm.
 """
 
 import math
@@ -26,6 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg import eigh as dense_eigh
 from scipy.sparse.linalg import LinearOperator, eigsh, splu
 from scipy.spatial import Delaunay, cKDTree
 
@@ -45,7 +51,6 @@ RESIDUAL_TOL = 1e-8
 SLICE_MODES = 75   # modes per spectrum slice
 SLICE_PAD = 0.05   # slice boundaries sit at Weyl estimates for 5% more modes
 SLICE_EXTRA = 2    # Lanczos asks for this many modes beyond a slice's count
-BLOCK = 64         # columns or rows per block in the Rayleigh-Ritz step
 
 
 @dataclass
@@ -406,8 +411,8 @@ def _factor_shifted(K, M, sigma):
 
 
 def _solve_slice(K, M, lo, hi, modes, v0):
-    """The eigenpairs in [lo, hi), of which the inertia counts say there are
-    ``modes``, by shift-invert Lanczos about the slice midpoint."""
+    """The eigenvectors of the ``modes`` eigenvalues that the inertia counts
+    place in [lo, hi), by shift-invert Lanczos about the slice midpoint."""
     mid = 0.5 * (lo + hi)
     lu, _ = _factor_shifted(K, M, mid)
     op_inv = LinearOperator(K.shape, matvec=lu.solve, dtype=float)
@@ -421,8 +426,7 @@ def _solve_slice(K, M, lo, hi, modes, v0):
         raise EigensolveError(
             f"slice [{lo:g}, {hi:g}) holds {modes} eigenvalues by inertia, "
             f"but the eigensolver found {len(inside)}")
-    inside = inside[np.argsort(vals[inside])]
-    return vals[inside], vecs[:, inside]
+    return vecs[:, inside]
 
 
 def solve_lowest(ops, count, seed=0):
@@ -439,10 +443,20 @@ def solve_lowest(ops, count, seed=0):
     slices are sized from the mode density counted below it.  So no
     eigenvalue below the last shift is missing: the meta records the number
     of ``slices``, the last shift ``inertia_shift`` and the
-    ``inertia_count`` below it.  Every returned pair must satisfy
-    |K x - lambda M x|_{M^-1} <= RESIDUAL_TOL * |x|_M.  The returned
-    Spectrum is truncated and its cutoff set by the Weyl pollution rule, so
-    downstream heat-trace tails only see trusted modes.
+    ``inertia_count`` below it.
+
+    Each slice is finished where it is solved, and its vectors are dropped
+    before the next slice: a Rayleigh-Ritz step on the slice alone, then
+    per-mode residuals r = K x - lambda M x.  ``max_residual`` is the
+    largest certified bound sqrt(2) |r|_{diag(M)^-1} / (max(lambda, 1)
+    |x|_M) on the lambda-relative residual in the M^-1 norm; it holds
+    because diag(M)^-1 M has its eigenvalues in [1/2, 2] for P1 triangles
+    (Wathen, IMA J. Numer. Anal. 7, 1987), and it must not exceed
+    RESIDUAL_TOL.  ``ortho_deviation`` is the largest deviation of the
+    M-Gram matrix from the identity over pairs of modes within one slice
+    or in adjacent slices.  The returned Spectrum is truncated and its
+    cutoff set by the Weyl pollution rule, so downstream heat-trace tails
+    only see trusted modes.
     """
     K, M = ops.stiffness, ops.mass
     mesh = ops.mesh
@@ -454,10 +468,10 @@ def solve_lowest(ops, count, seed=0):
     targets = count * np.arange(1, n_planned + 1) / n_planned
     bounds = list(_weyl_lambda_estimate(targets * (1.0 + SLICE_PAD),
                                         mesh.area, mesh.perimeter))
-    # Slices ascend and each returns its modes in order, so they fill the
-    # output columns in place, already sorted.
+    dinv = 1.0 / M.diagonal()
     vals = np.empty(count)
-    vecs = np.empty((n, count))
+    rel = np.empty(count)
+    ortho_dev, prev = 0.0, None
     lo, below_lo, slices = 0.0, 0, 0
     while below_lo < count:
         if slices < len(bounds):
@@ -467,59 +481,40 @@ def solve_lowest(ops, count, seed=0):
             # density the inertia counts have measured below ``lo``, size
             # one more slice to reach the padded ``count``.
             hi = lo * count * (1.0 + SLICE_PAD) / max(below_lo, 1)
-        _, below_hi = _factor_shifted(K, M, hi)
+        # Only the count is kept: a factorisation held through the slice's
+        # solve makes resident memory climb from slice to slice.
+        below_hi = _factor_shifted(K, M, hi)[1]
         v0 = rng.standard_normal(n)
         if below_hi > below_lo:
-            slice_vals, slice_vecs = _solve_slice(K, M, lo, hi,
-                                                  below_hi - below_lo, v0)
+            x = _solve_slice(K, M, lo, hi, below_hi - below_lo, v0)
             take = min(below_hi, count) - below_lo
-            vals[below_lo:below_lo + take] = slice_vals[:take]
-            vecs[:, below_lo:below_lo + take] = slice_vecs[:, :take]
+            # ARPACK residuals in the original pencil grow like lambda * eps
+            # after shift-invert; a Rayleigh-Ritz step on the slice's own
+            # vectors restores them to projection level.
+            theta, s = dense_eigh(x.T @ (K @ x), x.T @ (M @ x))
+            x, theta = x @ s[:, :take], theta[:take]
+            mx = M @ x
+            r = K @ x - mx * theta[None, :]
+            # Gate per mode relative to lambda: |r|_{M^-1} bounds the
+            # absolute eigenvalue error, and double-precision Lanczos cannot
+            # push it below ~lambda^2*eps.  sqrt(2) |r|_{diag(M)^-1} bounds
+            # |r|_{M^-1} (Wathen 1987).
+            res = np.sqrt(2.0 * (dinv @ (r * r)))
+            xnorm = np.sqrt(np.einsum("ij,ij->j", x, mx))
+            vals[below_lo:below_lo + take] = theta
+            rel[below_lo:below_lo + take] = \
+                res / (np.maximum(theta, 1.0) * xnorm)
+            ortho_dev = max(ortho_dev, np.max(np.abs(x.T @ mx - np.eye(take))))
+            if prev is not None:
+                ortho_dev = max(ortho_dev, np.max(np.abs(prev.T @ mx)))
+            prev = x
         lo, below_lo, slices = hi, below_hi, slices + 1
     if np.any(vals <= 0):
         raise EigensolveError("nonpositive discrete eigenvalue; broken operators")
-
-    # One Rayleigh-Ritz re-projection: ARPACK residuals in the original
-    # pencil grow like lambda * eps after shift-invert; re-solving the
-    # projected dense pencil restores them to projection level.
-    from scipy.linalg import eigh as dense_eigh
-
-    # The projections, the rotation of the basis, the residuals and the
-    # M-Gram matrix all go in blocks of BLOCK columns or rows, so that no
-    # temporary as large as the basis is formed.  The rotation works in
-    # place because each row of V s depends only on the same row of V.
-    k_proj = np.empty((count, count))
-    m_proj = np.empty((count, count))
-    for j in range(0, count, BLOCK):
-        cols = slice(j, j + BLOCK)
-        k_proj[:, cols] = vecs.T @ (K @ vecs[:, cols])
-        m_proj[:, cols] = vecs.T @ (M @ vecs[:, cols])
-    vals, s = dense_eigh(k_proj, m_proj)
-    for i in range(0, n, BLOCK):
-        vecs[i:i + BLOCK] = vecs[i:i + BLOCK] @ s
-
-    lu_m = splu(M.tocsc())
-    res = np.empty(count)
-    xnorm = np.empty(count)
-    gram = np.empty((count, count))
-    for j in range(0, count, BLOCK):
-        cols = slice(j, j + BLOCK)
-        x = vecs[:, cols]
-        mx = M @ x
-        r = K @ x - mx * vals[None, cols]
-        res[cols] = np.sqrt(np.abs(np.einsum("ij,ij->j", r, lu_m.solve(r))))
-        xnorm[cols] = np.sqrt(np.einsum("ij,ij->j", x, mx))
-        gram[:, cols] = vecs.T @ mx
-    # Gate per mode relative to lambda: |K x - lambda M x|_{M^-1} bounds the
-    # absolute eigenvalue error, and double-precision Lanczos cannot push it
-    # below ~lambda^2*eps in this norm; lambda-relative 1e-8 still means
-    # eigenvalue errors around 1e-8 absolute at desk scale.
-    rel = res / (np.maximum(vals, 1.0) * xnorm)
     if np.any(rel > RESIDUAL_TOL):
         raise EigensolveError(
             f"eigensolver residual {rel.max():.3g} exceeds {RESIDUAL_TOL:g} "
             f"after {count} modes")
-    ortho_dev = float(np.max(np.abs(gram - np.eye(count))))
 
     n_ok = complete_below(vals, mesh.area, mesh.perimeter)
     trusted = vals[:n_ok]
@@ -547,7 +542,7 @@ def solve_lowest(ops, count, seed=0):
               "computed_modes": count, "trusted_modes": n_ok,
               "slices": slices, "inertia_shift": lo, "inertia_count": below_lo,
               "max_residual": float(rel.max()),
-              "ortho_deviation": ortho_dev,
+              "ortho_deviation": float(ortho_dev),
               "drift_rate": drift_c,
               "t_min_bias": t_min_bias})
 

@@ -5,6 +5,7 @@ import pytest
 import scipy.linalg
 import scipy.spatial
 from numpy.testing import assert_allclose
+from scipy.sparse.linalg import splu
 
 from drumspec import fem_solver
 from drumspec.analytic_spectra import (
@@ -33,6 +34,7 @@ from drumspec.geometry import (
     make_polygon,
     make_rectangle,
     make_square,
+    make_square_with_square_hole,
 )
 
 PI = math.pi
@@ -205,6 +207,27 @@ class TestRetriangulationTrigger:
         assert not np.array_equal(delaunay_calls[0], delaunay_calls[1])
 
 
+def assert_fills_domain(mesh, area):
+    """Positive triangles that tile ``area``, interior angles of 20 degrees
+    or more."""
+    p = mesh.vertices[mesh.triangles]
+    area2 = (p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1]) \
+        - (p[:, 1, 1] - p[:, 0, 1]) * (p[:, 2, 0] - p[:, 0, 0])
+    assert np.all(area2 > 0)
+    assert abs(0.5 * area2.sum() - area) < 1e-9
+    assert interior_min_angle_deg(mesh) >= 20.0
+
+
+class TestIsospectralPairMeshes:
+    # the drums of the benchmark's gww-pair workload, at its mesh size
+    @pytest.mark.parametrize("label", ["gww-a", "gww-b"])
+    def test_gww_meshes_at_benchmark_size(self, label):
+        dom = make_polygon(ISOSPECTRAL_PAIR[label], label=label)
+        mesh = mesh_domain(dom, 0.07)
+        _check_conformity(mesh)
+        assert_fills_domain(mesh, dom.area())
+
+
 def rigid_motion(index):
     """Motion ``index`` of twelve drawn from default_rng(12345): a rotation
     by U(0, 2 pi), then a shift by U(-2, 2)^2."""
@@ -227,12 +250,7 @@ class TestRigidMotions:
     def test_moved_domain_meshes(self, domain, h, index):
         dom = domain()
         mesh = mesh_domain(dom.transformed(*rigid_motion(index)), h)
-        p = mesh.vertices[mesh.triangles]
-        area2 = (p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1]) \
-            - (p[:, 1, 1] - p[:, 0, 1]) * (p[:, 2, 0] - p[:, 0, 0])
-        assert np.all(area2 > 0)
-        assert abs(0.5 * area2.sum() - dom.area()) < 1e-9
-        assert interior_min_angle_deg(mesh) >= 20.0
+        assert_fills_domain(mesh, dom.area())
 
     def test_moved_lshape_modes_match(self, lshape_mesh):
         moved = make_lshape().transformed(*rigid_motion(5))
@@ -483,3 +501,86 @@ class TestSpectrumSlicing:
         monkeypatch.setattr(fem_solver, "eigsh", drop_nearest)
         with pytest.raises(EigensolveError, match="by inertia"):
             solve_lowest(small_lshape_ops, 20)
+
+
+@pytest.fixture
+def slice_vectors(monkeypatch):
+    """The vectors each slice's Lanczos run returns, in slice order."""
+    recorded = []
+    original = fem_solver._solve_slice
+
+    def recording(*args):
+        x = original(*args)
+        recorded.append(x.copy())
+        return x
+
+    monkeypatch.setattr(fem_solver, "_solve_slice", recording)
+    return recorded
+
+
+def global_rayleigh_ritz(ops, slices, count):
+    """Reference: one Rayleigh-Ritz step on the lowest ``count`` slice
+    vectors together, with residuals in the exact M^-1 norm from an LU of M
+    and the full M-Gram matrix."""
+    K, M = ops.stiffness, ops.mass
+    lowest = []
+    for x in slices:
+        rq = np.einsum("ij,ij->j", x, K @ x) / np.einsum("ij,ij->j", x, M @ x)
+        lowest.append(x[:, np.argsort(rq)])
+    vecs = np.concatenate(lowest, axis=1)[:, :count]
+    vals, s = scipy.linalg.eigh(vecs.T @ (K @ vecs), vecs.T @ (M @ vecs))
+    vecs = vecs @ s
+    mx = M @ vecs
+    r = K @ vecs - mx * vals[None, :]
+    res = np.sqrt(np.einsum("ij,ij->j", r, splu(M.tocsc()).solve(r)))
+    xnorm = np.sqrt(np.einsum("ij,ij->j", vecs, mx))
+    rel = res / (np.maximum(vals, 1.0) * xnorm)
+    gram = vecs.T @ mx
+    return vals, rel, float(np.max(np.abs(gram - np.eye(count))))
+
+
+class TestSliceFinishing:
+    COUNT = 150
+
+    def test_multi_slice_matches_global_rayleigh_ritz(
+            self, small_lshape_ops, trust_all_modes, slice_vectors):
+        spec = solve_lowest(small_lshape_ops, self.COUNT)
+        assert spec.meta["slices"] >= 3
+        vals, rel, ortho = global_rayleigh_ritz(small_lshape_ops,
+                                                slice_vectors, self.COUNT)
+        assert rel.max() <= 1e-8 and ortho <= 1e-8
+        assert_allclose(spec.eigenvalues, vals, rtol=1e-12, atol=0)
+        assert spec.meta["max_residual"] <= 1e-8
+        assert spec.meta["ortho_deviation"] <= 1e-8
+
+    def test_residual_bound_brackets_exact_norm(
+            self, small_lshape_ops, trust_all_modes, slice_vectors):
+        ops = small_lshape_ops
+        K, M = ops.stiffness, ops.mass
+        spec = solve_lowest(ops, self.COUNT)
+        lu_m = splu(M.tocsc())
+        dinv = 1.0 / M.diagonal()
+        rel = []
+        for x in slice_vectors:
+            theta, s = scipy.linalg.eigh(x.T @ (K @ x), x.T @ (M @ x))
+            x = x @ s
+            mx = M @ x
+            r = K @ x - mx * theta[None, :]
+            exact = np.sqrt(np.einsum("ij,ij->j", r, lu_m.solve(r)))
+            bound = np.sqrt(2.0 * (dinv @ (r * r)))
+            assert np.all(exact <= bound) and np.all(bound <= 2.0 * exact)
+            xnorm = np.sqrt(np.einsum("ij,ij->j", x, mx))
+            rel.append(bound / (np.maximum(theta, 1.0) * xnorm))
+        rel = np.concatenate(rel)[:self.COUNT]
+        assert_allclose(spec.meta["max_residual"], rel.max(), rtol=1e-6)
+
+    @pytest.mark.parametrize("domain, h", [
+        (make_square, 0.1), (make_disk, 0.1), (make_lshape, 0.05),
+        (make_square_with_square_hole, 0.05)])
+    def test_diagonally_scaled_mass_spectrum(self, domain, h):
+        # Wathen (1987): for P1 triangles the eigenvalues of diag(M)^-1 M
+        # lie in [1/2, 2], the interval the residual bound rests on.
+        mass = assemble(mesh_domain(domain(), h)).mass.toarray()
+        d = 1.0 / np.sqrt(np.diag(mass))
+        ev = np.linalg.eigvalsh(d[:, None] * mass * d[None, :])
+        assert 0.5 - 1e-12 <= ev[0] and ev[-1] <= 2.0 + 1e-12
