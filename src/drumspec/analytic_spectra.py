@@ -413,7 +413,7 @@ def match_reference_family(domain):
     (theta, r)), ("equilateral", side).  Checks are exact up to 1e-12 on
     segment data; anything ambiguous falls through to None (FEM).
     """
-    from .geometry import ArcSegment, LineSegment, detect_corners
+    from .geometry import detect_corners
 
     if len(domain.loops) != 1:
         return None

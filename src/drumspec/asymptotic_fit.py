@@ -5,10 +5,14 @@ the sqrt(t) column is a nuisance term soaking up the leading remainder of
 the expansion so that a_0 stays unbiased.  Samples are weighted by 1/h(t)^2
 (relative error): h spans several orders of magnitude across a useful
 window and an unweighted fit would see only the smallest t.
+
+``TERMS`` is the one place the basis is defined: the fit's columns, the
+report's coefficients and the plotted model curve (``model``) all come
+from it.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,6 +30,23 @@ MIN_WINDOW_SPAN = 4.0
 
 # Fraction of a FEM spectrum's t_min_bias kept as the window floor.
 FEM_FLOOR_SCALE = 1.0 / 3.0
+
+# The expansion's basis in report order: term name -> column as a function
+# of t.  The blind fit uses BLIND_TERMS; a_pollution (1/t^2) models the
+# eigenvalue drift of discrete (FEM) spectra.
+TERMS = {
+    "a_minus1": lambda t: 1.0 / t,
+    "a_minus_half": lambda t: 1.0 / np.sqrt(t),
+    "a0": np.ones_like,
+    "a_half": np.sqrt,
+    "a_pollution": lambda t: 1.0 / t ** 2,
+}
+BLIND_TERMS = ("a_minus1", "a_minus_half", "a0", "a_half")
+
+
+def model(coef, t):
+    """The expansion sum(c * TERMS[name](t)) over ``coef``'s terms."""
+    return sum(c * TERMS[name](t) for name, c in coef.items())
 
 
 def choose_window(spectrum, kappa=DEFAULT_KAPPA):
@@ -78,36 +99,18 @@ def choose_window(spectrum, kappa=DEFAULT_KAPPA):
 
 @dataclass
 class AsymptoticFit:
-    """Fitted expansion coefficients with statistical uncertainties."""
+    """Fitted coefficients and their statistical uncertainties, keyed by
+    term name in TERMS order (pinned terms have sigma 0), with the window
+    statistics."""
 
-    a_minus1: float
-    a_minus_half: float
-    a0: float
-    a_half: float
-    sigma_a_minus1: float
-    sigma_a_minus_half: float
-    sigma_a0: float
-    sigma_a_half: float
+    coef: dict
+    sigma: dict
     t_min: float
     t_max: float
     n_points: int
     max_rel_residual: float
     condition: float
     mode: str = "blind"
-    a1: float = 0.0
-    sigma_a1: float = 0.0
-    a_pollution: float = 0.0
-    sigma_a_pollution: float = 0.0
-    pollution_term: bool = False
-
-    def coefficients(self):
-        return {"a_minus1": self.a_minus1, "a_minus_half": self.a_minus_half,
-                "a0": self.a0, "a_half": self.a_half}
-
-    def sigmas(self):
-        return {"a_minus1": self.sigma_a_minus1,
-                "a_minus_half": self.sigma_a_minus_half,
-                "a0": self.sigma_a0, "a_half": self.sigma_a_half}
 
 
 def _weighted_lstsq(columns, target, weights):
@@ -139,24 +142,22 @@ def _weighted_lstsq(columns, target, weights):
 
 
 def fit_expansion(samples, mode="blind", area=None, perimeter=None,
-                  include_t_term=False, pollution_term=False):
+                  pollution_term=False):
     """Extract expansion coefficients from trace samples.
 
-    Blind mode (the classifier default: the spectrum is the only input) fits
-    all four basis terms.  Assisted mode pins a_{-1} and a_{-1/2} to the
-    supplied exact area and perimeter and fits only the constant and sqrt(t)
-    terms; it exists for validation against known geometry.  Either mode
-    needs at least MIN_FIT_POINTS samples.
+    The columns are TERMS' functions of the sample grid.  Blind mode (the
+    classifier default: the spectrum is the only input) fits all of
+    BLIND_TERMS.  Assisted mode pins a_{-1} and a_{-1/2} to the supplied
+    exact area and perimeter and fits only the constant and sqrt(t) terms;
+    it exists for validation against known geometry.  Either mode needs at
+    least MIN_FIT_POINTS samples.
 
-    Two documented extra columns:
-      * ``include_t_term`` adds a t column for sensitivity studies; off by
-        default because it destabilizes a0 at realistic cutoffs.
-      * ``pollution_term`` adds a 1/t^2 column modelling the systematic
-        upward eigenvalue drift of discrete (finite element) spectra, whose
-        leading trace contamination is exactly of that shape; callers
-        enable it for source == "fem", whose window floor choose_window
-        relaxes on that understanding.  Exact spectra leave its coefficient
-        at noise level.
+    ``pollution_term`` adds the a_pollution (1/t^2) column modelling the
+    systematic upward eigenvalue drift of discrete (finite element)
+    spectra, whose leading trace contamination is exactly of that shape;
+    callers enable it for source == "fem", whose window floor choose_window
+    relaxes on that understanding.  Exact spectra leave its coefficient at
+    noise level.
     """
     t = samples.grid
     h = samples.values
@@ -169,55 +170,37 @@ def fit_expansion(samples, mode="blind", area=None, perimeter=None,
             "raise the spectrum cutoff or shrink t_min")
     weights = 1.0 / h
 
+    target, pinned = h, {}
     if mode == "assisted":
         if area is None or perimeter is None:
             raise FitError("assisted mode needs area and perimeter")
         pinned_m1 = area / (4.0 * PI)
         pinned_mh = -perimeter / (8.0 * math.sqrt(PI))
         target = h - pinned_m1 / t - pinned_mh / np.sqrt(t)
-        columns = [np.ones_like(t), np.sqrt(t)]
-    elif mode == "blind":
-        target = h
-        columns = [1.0 / t, 1.0 / np.sqrt(t), np.ones_like(t), np.sqrt(t)]
-    else:
+        pinned = {"a_minus1": pinned_m1, "a_minus_half": pinned_mh}
+    elif mode != "blind":
         raise FitError(f"unknown fit mode {mode!r}")
-    n_base = len(columns)
-    if include_t_term:
-        columns.append(t)
+    names = [n for n in BLIND_TERMS if n not in pinned]
     if pollution_term:
-        columns.append(1.0 / t ** 2)
-    coef, sig, max_res, cond = _weighted_lstsq(columns, target, weights)
-
-    idx_t = n_base if include_t_term else None
-    idx_p = n_base + int(include_t_term) if pollution_term else None
-    a1 = coef[idx_t] if idx_t is not None else 0.0
-    s1 = sig[idx_t] if idx_t is not None else 0.0
-    ap = coef[idx_p] if idx_p is not None else 0.0
-    sp = sig[idx_p] if idx_p is not None else 0.0
-    common = dict(t_min=float(t[0]), t_max=float(t[-1]), n_points=len(t),
-                  max_rel_residual=max_res, condition=cond,
-                  a1=a1, sigma_a1=s1, a_pollution=ap, sigma_a_pollution=sp,
-                  pollution_term=pollution_term)
-    if mode == "assisted":
-        return AsymptoticFit(
-            a_minus1=pinned_m1, a_minus_half=pinned_mh,
-            a0=coef[0], a_half=coef[1],
-            sigma_a_minus1=0.0, sigma_a_minus_half=0.0,
-            sigma_a0=sig[0], sigma_a_half=sig[1], mode="assisted", **common)
+        names.append("a_pollution")
+    values, sigmas, max_res, cond = _weighted_lstsq(
+        [TERMS[n](t) for n in names], target, weights)
+    # The pinned terms lead BLIND_TERMS, so both dicts are in TERMS order.
     return AsymptoticFit(
-        a_minus1=coef[0], a_minus_half=coef[1], a0=coef[2], a_half=coef[3],
-        sigma_a_minus1=sig[0], sigma_a_minus_half=sig[1],
-        sigma_a0=sig[2], sigma_a_half=sig[3], mode="blind", **common)
+        coef={**pinned, **dict(zip(names, values))},
+        sigma={**dict.fromkeys(pinned, 0.0), **dict(zip(names, sigmas))},
+        t_min=float(t[0]), t_max=float(t[-1]), n_points=len(t),
+        max_rel_residual=max_res, condition=cond, mode=mode)
 
 
 def implied_area(fit):
     """Area implied by the fitted leading coefficient."""
-    return 4.0 * PI * fit.a_minus1
+    return 4.0 * PI * fit.coef["a_minus1"]
 
 
 def implied_perimeter(fit):
     """Perimeter implied by the fitted boundary coefficient."""
-    return -8.0 * math.sqrt(PI) * fit.a_minus_half
+    return -8.0 * math.sqrt(PI) * fit.coef["a_minus_half"]
 
 
 def fit_report(fit, theoretical=None, inputs=None, verdict=None):
@@ -227,46 +210,30 @@ def fit_report(fit, theoretical=None, inputs=None, verdict=None):
     The uncertainties are statistical (residual-scaled normal equations)
     and exclude truncation bias, which is stated in the report itself.
     """
-    report = {
-        "report_version": 1,
-        "fit": {
-            "mode": fit.mode,
-            "t_min": fit.t_min,
-            "t_max": fit.t_max,
-            "n_points": fit.n_points,
-            "a_minus1": fit.a_minus1,
-            "a_minus1_sigma": fit.sigma_a_minus1,
-            "a_minus_half": fit.a_minus_half,
-            "a_minus_half_sigma": fit.sigma_a_minus_half,
-            "a0": fit.a0,
-            "a0_sigma": fit.sigma_a0,
-            "a_half": fit.a_half,
-            "a_half_sigma": fit.sigma_a_half,
-            "max_rel_residual": fit.max_rel_residual,
-            "condition": fit.condition,
-            "implied_area": implied_area(fit),
-            "implied_perimeter": implied_perimeter(fit),
-            "uncertainty_note": "statistical, excludes truncation bias",
-        },
-    }
-    if fit.pollution_term:
-        report["fit"]["a_pollution"] = fit.a_pollution
-        report["fit"]["a_pollution_sigma"] = fit.sigma_a_pollution
+    doc = {"mode": fit.mode, "t_min": fit.t_min, "t_max": fit.t_max,
+           "n_points": fit.n_points}
+
+    def add_terms(names):
+        for name in names:
+            doc[name] = fit.coef[name]
+            doc[f"{name}_sigma"] = fit.sigma[name]
+
+    add_terms(BLIND_TERMS)
+    doc.update(max_rel_residual=fit.max_rel_residual,
+               condition=fit.condition,
+               implied_area=implied_area(fit),
+               implied_perimeter=implied_perimeter(fit),
+               uncertainty_note="statistical, excludes truncation bias")
+    add_terms([n for n in fit.coef if n not in BLIND_TERMS])
+    report = {"report_version": 1, "fit": doc}
     if inputs:
         report["inputs"] = dict(inputs)
     if theoretical is not None:
-        comp = {
-            "a_minus1": theoretical.a_minus1,
-            "a_minus_half": theoretical.a_minus_half,
-            "a0": theoretical.a0,
-            "chi": theoretical.chi,
-            "n_corners": theoretical.n_corners,
-        }
-        for key, sig in [("a_minus1", fit.sigma_a_minus1),
-                         ("a_minus_half", fit.sigma_a_minus_half),
-                         ("a0", fit.sigma_a0)]:
-            fitted = report["fit"][key]
-            comp[f"z_{key}"] = (fitted - comp[key]) / sig if sig > 0 else 0.0
+        comp = {key: getattr(theoretical, key) for key in
+                ("a_minus1", "a_minus_half", "a0", "chi", "n_corners")}
+        for key in ("a_minus1", "a_minus_half", "a0"):
+            sig = fit.sigma[key]
+            comp[f"z_{key}"] = (doc[key] - comp[key]) / sig if sig > 0 else 0.0
         report["theoretical"] = comp
     if verdict is not None:
         report["verdict"] = verdict

@@ -14,12 +14,12 @@ not converged, and it widens the error bar instead of being ignored.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .asymptotic_fit import choose_window, fit_expansion
-from .errors import InsufficientSpectrumError
+from .asymptotic_fit import DEFAULT_KAPPA, choose_window, fit_expansion
+from .errors import FitError, InsufficientSpectrumError
 from .heat_trace import evaluate_trace
 
 DEFAULT_DECISION_Z = 3.0
@@ -96,7 +96,8 @@ class Verdict:
         }
 
 
-def classify(spectrum, chi=1, decision_z=DEFAULT_DECISION_Z, kappa=None):
+def classify(spectrum, chi=1, decision_z=DEFAULT_DECISION_Z,
+             kappa=DEFAULT_KAPPA):
     """Blind pipeline: window, trace, fit, one-sided decision.
 
     has_corners requires margin = (a0_hat - chi/6) / uncertainty > decision_z.
@@ -109,42 +110,38 @@ def classify(spectrum, chi=1, decision_z=DEFAULT_DECISION_Z, kappa=None):
         raise ValueError("chi must be an integer")
     if chi > 1:
         raise ValueError(f"chi={chi} is invalid: planar domains have chi <= 1")
-    from .asymptotic_fit import DEFAULT_KAPPA
-
-    kappa = DEFAULT_KAPPA if kappa is None else float(kappa)
     # Discrete spectra get the 1/t^2 column that models their systematic
     # eigenvalue drift; exact spectra do not need it.
     pollution = spectrum.source == "fem"
     t_min, t_max, grid = choose_window(spectrum, kappa=kappa)
     samples = evaluate_trace(spectrum, grid)
     fit = fit_expansion(samples, mode="blind", pollution_term=pollution)
+    a0, sigma = fit.coef["a0"], fit.sigma["a0"]
 
     # Robustness probe: refit on [t_min, t_max/2].
     threshold = chi / 6.0
-    from .errors import FitError
-
     try:
         n_half = max(10, int(round(len(grid) * 0.8)))
         grid_half = np.geomspace(t_min, t_max / 2.0, n_half)
         samples_half = evaluate_trace(spectrum, grid_half)
         fit_half = fit_expansion(samples_half, mode="blind",
                                  pollution_term=pollution)
-        shift = abs(fit_half.a0 - fit.a0)
+        a0_half, sigma_half = fit_half.coef["a0"], fit_half.sigma["a0"]
+        shift = abs(a0_half - a0)
         # Robust if the windows agree to within noise, or the halved window
         # independently lands on the smooth value within its own resolution.
-        robust = (shift <= fit.sigma_a0) or (
-            abs(fit_half.a0 - threshold)
-            <= decision_z * max(fit_half.sigma_a0, shift))
+        robust = (shift <= sigma) or (
+            abs(a0_half - threshold) <= decision_z * max(sigma_half, shift))
     except (InsufficientSpectrumError, FitError):
         shift = math.inf
         robust = False
 
-    sigma_eff = max(fit.sigma_a0, shift if math.isfinite(shift) else fit.sigma_a0)
+    sigma_eff = max(sigma, shift if math.isfinite(shift) else sigma)
     if sigma_eff == 0.0:
         sigma_eff = np.finfo(float).tiny
-    decision, margin = decide_from_estimate(fit.a0, sigma_eff, chi=chi,
+    decision, margin = decide_from_estimate(a0, sigma_eff, chi=chi,
                                             decision_z=decision_z, robust=robust)
-    return Verdict(decision=decision, a0_estimate=fit.a0, uncertainty=sigma_eff,
+    return Verdict(decision=decision, a0_estimate=a0, uncertainty=sigma_eff,
                    threshold=threshold, margin=margin, chi=int(chi),
                    decision_z=decision_z, robustness_shift=shift,
                    fit=fit, samples=samples)

@@ -20,10 +20,11 @@ byte-identical files.
 
 import argparse
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import __version__
+from .asymptotic_fit import DEFAULT_KAPPA
+from .classifier import DEFAULT_DECISION_Z
 from .errors import (
     DomainFileError,
     DrumspecError,
@@ -43,30 +44,10 @@ VERDICT_EXIT = {"smooth": EXIT_OK, "has_corners": EXIT_HAS_CORNERS,
                 "indeterminate": EXIT_INDETERMINATE}
 
 
-@dataclass
-class JobConfig:
-    command: str
-    domain: str = ""
-    spectrum: str = ""
-    cutoff: float = 1.0e5
-    count: int = 200
-    h: float = 0.02
-    grading: float = 0.5
-    kappa: float = 12.0
-    chi: int = 1
-    decision_z: float = 3.0
-    out: str = "."
-    seed: int = 0
-    name_filter: str = ""
-    inject_a0_bias: float = 0.0
-    report: str = ""
-    trace: str = ""
-    skip_fem: bool = False
-
-    def outdir(self):
-        path = Path(self.out)
-        path.mkdir(parents=True, exist_ok=True)
-        return path
+def _outdir(cfg):
+    path = Path(cfg.out)
+    path.mkdir(parents=True, exist_ok=True)
+    return path
 
 
 def _build_parser():
@@ -77,33 +58,32 @@ def _build_parser():
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("spectrum", help="compute a Dirichlet spectrum")
-    sp.add_argument("--domain", required=True, help="domain file (schema 1)")
-    sp.add_argument("--cutoff", type=float, default=1.0e5,
-                    help="eigenvalue cutoff for analytic families")
-    sp.add_argument("--count", type=int, default=200,
-                    help="mode count for the FEM fallback")
-    sp.add_argument("--h", type=float, default=0.02, help="FEM target size")
-    sp.add_argument("--grading", type=float, default=0.5,
-                    help="mesh grading exponent at reentrant corners")
-    sp.add_argument("--out", default=".")
-    sp.add_argument("--seed", type=int, default=0)
+    # Options of every subcommand that may compute a spectrum.
+    job = argparse.ArgumentParser(add_help=False)
+    job.add_argument("--cutoff", type=float, default=1.0e5,
+                     help="eigenvalue cutoff for analytic families")
+    job.add_argument("--count", type=int, default=200,
+                     help="mode count for the FEM fallback")
+    job.add_argument("--h", type=float, default=0.02, help="FEM target size")
+    job.add_argument("--grading", type=float, default=0.5,
+                     help="mesh grading exponent at reentrant corners")
+    job.add_argument("--out", default=".")
+    job.add_argument("--seed", type=int, default=0)
 
-    cl = sub.add_parser("classify", help="decide corners from the spectrum")
+    sp = sub.add_parser("spectrum", parents=[job],
+                        help="compute a Dirichlet spectrum")
+    sp.add_argument("--domain", required=True, help="domain file (schema 1)")
+
+    cl = sub.add_parser("classify", parents=[job],
+                        help="decide corners from the spectrum")
     cl.add_argument("--spectrum", default="", help="spectrum file")
     cl.add_argument("--domain", default="", help="domain file (computed if "
                     "no spectrum is given)")
-    cl.add_argument("--cutoff", type=float, default=1.0e5)
-    cl.add_argument("--count", type=int, default=200)
-    cl.add_argument("--h", type=float, default=0.02)
-    cl.add_argument("--grading", type=float, default=0.5)
-    cl.add_argument("--kappa", type=float, default=12.0,
+    cl.add_argument("--kappa", type=float, default=DEFAULT_KAPPA,
                     help="t_min = kappa / cutoff")
     cl.add_argument("--chi", type=int, default=1,
                     help="assumed Euler characteristic")
-    cl.add_argument("--decision-z", type=float, default=3.0)
-    cl.add_argument("--out", default=".")
-    cl.add_argument("--seed", type=int, default=0)
+    cl.add_argument("--decision-z", type=float, default=DEFAULT_DECISION_Z)
 
     vf = sub.add_parser("verify", help="run the bundled verification corpus")
     vf.add_argument("--filter", dest="name_filter", default="",
@@ -123,38 +103,28 @@ def _build_parser():
     return parser
 
 
-def parse_args(argv):
-    ns = _build_parser().parse_args(argv)
-    return JobConfig(**vars(ns))
-
-
-def _load_domain(cfg):
-    from .geometry import load_domain
-
-    return load_domain(cfg.domain)
-
-
-def _spectrum_from_domain(cfg, domain):
+def _domain_and_spectrum(cfg):
     from .analytic_spectra import spectrum_for_domain
     from .fem_solver import fem_spectrum
+    from .geometry import load_domain
 
+    domain = load_domain(cfg.domain)
     spec = spectrum_for_domain(domain, cfg.cutoff)
     if spec is None:
         spec = fem_spectrum(domain, cfg.h, cfg.count,
                             grading=cfg.grading, seed=cfg.seed)
-    return spec
+    return domain, spec
 
 
 def cmd_spectrum(cfg):
     from .analytic_spectra import write_spectrum
     from .reporting import digest_file
 
-    domain = _load_domain(cfg)
-    spec = _spectrum_from_domain(cfg, domain)
+    domain, spec = _domain_and_spectrum(cfg)
     spec.meta.setdefault("tool_version", __version__)
     spec.meta.setdefault("domain_digest", digest_file(cfg.domain))
     label = domain.label or Path(cfg.domain).stem
-    out = cfg.outdir() / f"{label}.spectrum"
+    out = _outdir(cfg) / f"{label}.spectrum"
     write_spectrum(spec, out)
     print(f"wrote {out} ({len(spec)} eigenvalues <= {spec.cutoff:g}, "
           f"source={spec.source})")
@@ -165,7 +135,7 @@ def cmd_classify(cfg):
     from .analytic_spectra import read_spectrum
     from .asymptotic_fit import fit_report
     from .classifier import classify
-    from .heat_trace import write_trace
+    from .heat_trace import theoretical_coefficients, write_trace
     from .reporting import digest_array, digest_file, write_report
 
     inputs = {"tool_version": __version__}
@@ -176,13 +146,10 @@ def cmd_classify(cfg):
         label = spec.domain_label or Path(cfg.spectrum).stem
         theoretical = None
     elif cfg.domain:
-        domain = _load_domain(cfg)
-        spec = _spectrum_from_domain(cfg, domain)
+        domain, spec = _domain_and_spectrum(cfg)
         inputs["domain_path"] = cfg.domain
         inputs["domain_digest"] = digest_file(cfg.domain)
         label = domain.label or Path(cfg.domain).stem
-        from .heat_trace import theoretical_coefficients
-
         theoretical = theoretical_coefficients(domain)
     else:
         print("classify needs --spectrum or --domain", file=sys.stderr)
@@ -193,7 +160,7 @@ def cmd_classify(cfg):
                        kappa=cfg.kappa)
     report = fit_report(verdict.fit, theoretical=theoretical, inputs=inputs,
                         verdict=verdict.to_dict())
-    out = cfg.outdir()
+    out = _outdir(cfg)
     report_path = out / f"{label}_report.txt"
     trace_path = out / f"{label}_trace.txt"
     write_report(report, report_path)
@@ -224,7 +191,7 @@ def cmd_verify(cfg):
             failures.append({"name": r.name, "detail": r.detail})
     print(f"{sum(r.passed for r in results)}/{len(results)} checks passed")
     if failures:
-        out = cfg.outdir() / "verify_failures.txt"
+        out = _outdir(cfg) / "verify_failures.txt"
         write_report({"verify_version": 1, "failures": failures}, out)
         print(f"wrote {out}", file=sys.stderr)
         return EXIT_FAILURE
@@ -232,13 +199,12 @@ def cmd_verify(cfg):
 
 
 def cmd_plotdata(cfg):
-    import numpy as np
-
+    from .asymptotic_fit import BLIND_TERMS, TERMS, model
     from .geometry import make_regular_polygon
     from .heat_trace import read_trace, theoretical_coefficients
     from .reporting import read_report
 
-    out = cfg.outdir()
+    out = _outdir(cfg)
     wrote = []
     if cfg.report or cfg.trace:
         if not (cfg.report and cfg.trace):
@@ -251,20 +217,17 @@ def cmd_plotdata(cfg):
             print(f"missing or unreadable artifacts: {exc}", file=sys.stderr)
             return EXIT_MISSING_ARTIFACTS
         fit = report.get("fit", {})
-        try:
-            t = samples.grid
-            model = (fit["a_minus1"] / t + fit["a_minus_half"] / np.sqrt(t)
-                     + fit["a0"] + fit["a_half"] * np.sqrt(t))
-            if "a_pollution" in fit:
-                model = model + fit["a_pollution"] / t ** 2
-        except KeyError as exc:
-            print(f"report lacks fit coefficients: {exc}", file=sys.stderr)
+        missing = [name for name in BLIND_TERMS if name not in fit]
+        if missing:
+            print(f"report lacks fit coefficients {missing}", file=sys.stderr)
             return EXIT_MISSING_ARTIFACTS
-        resid = samples.values - model
+        t = samples.grid
+        curve = model({name: fit[name] for name in TERMS if name in fit}, t)
+        resid = samples.values - curve
         path = out / "fit_curve.txt"
         with open(path, "w") as fh:
             fh.write("t,h,model,residual\n")
-            for row in zip(t, samples.values, model, resid):
+            for row in zip(t, samples.values, curve, resid):
                 fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
         wrote.append(path)
 
@@ -280,7 +243,7 @@ def cmd_plotdata(cfg):
 
 
 def main(argv=None):
-    cfg = parse_args(sys.argv[1:] if argv is None else argv)
+    cfg = _build_parser().parse_args(sys.argv[1:] if argv is None else argv)
     handlers = {"spectrum": cmd_spectrum, "classify": cmd_classify,
                 "verify": cmd_verify, "plotdata": cmd_plotdata}
     try:

@@ -11,7 +11,7 @@ under FEM cross-validation.
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -248,7 +248,7 @@ def build_corpus(seed=0, inject_a0_bias=0.0, fem=True):
             if not ref.analytic:
                 continue
             fit = reference_verdict(ref).fit
-            err = abs(fit.a0 - ref.a0)
+            err = abs(fit.coef["a0"] - ref.a0)
             _assert(err <= 0.01, f"{ref.label}: |a0 err| = {err:.4f}")
             area = implied_area(fit)
             perim = implied_perimeter(fit)
@@ -294,7 +294,7 @@ def build_corpus(seed=0, inject_a0_bias=0.0, fem=True):
             fit = fit_expansion(evaluate_trace(spec, grid), mode="assisted",
                                 area=dom.area(), perimeter=dom.perimeter(),
                                 pollution_term=True)
-            err = abs(fit.a0 - ref.a0)
+            err = abs(fit.coef["a0"] - ref.a0)
             _assert(err <= 0.05, f"assisted a0 err {err:.4f}")
             return f"|a0 - 5/18| = {err:.4f}"
 

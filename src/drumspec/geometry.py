@@ -460,43 +460,30 @@ def _loops_contain(polys, points):
     return inside
 
 
-def _segments_intersect(p1, p2, q1, q2):
-    d1 = _cross(p2 - p1, q1 - p1)
-    d2 = _cross(p2 - p1, q2 - p1)
-    d3 = _cross(q2 - q1, p1 - q1)
-    d4 = _cross(q2 - q1, p2 - q1)
-    return (d1 * d2 < 0) and (d3 * d4 < 0)
+def _edge_crosses(p1, p2, q1, q2):
+    """Whether edge p1 -> p2 strictly crosses any edge q1[k] -> q2[k]: each
+    edge's endpoints lie strictly on opposite sides of the other's line."""
+    e, f = p2 - p1, q2 - q1
+    d1 = e[0] * (q1[:, 1] - p1[1]) - e[1] * (q1[:, 0] - p1[0])
+    d2 = e[0] * (q2[:, 1] - p1[1]) - e[1] * (q2[:, 0] - p1[0])
+    d3 = f[:, 0] * (p1[1] - q1[:, 1]) - f[:, 1] * (p1[0] - q1[:, 0])
+    d4 = f[:, 0] * (p2[1] - q1[:, 1]) - f[:, 1] * (p2[0] - q1[:, 0])
+    return bool(np.any((d1 * d2 < 0) & (d3 * d4 < 0)))
 
 
 def _polyline_self_intersects(pts):
+    """Whether two non-adjacent edges of closed polyline ``pts`` cross."""
     n = len(pts)
-    a = pts
     b = np.roll(pts, -1, axis=0)
-    for i in range(n):
-        j0 = i + 2
-        j1 = n - 1 if i == 0 else n
-        if j0 >= j1:
-            continue
-        p1, p2 = a[i], b[i]
-        q1, q2 = a[j0:j1], b[j0:j1]
-        e = p2 - p1
-        d1 = e[0] * (q1[:, 1] - p1[1]) - e[1] * (q1[:, 0] - p1[0])
-        d2 = e[0] * (q2[:, 1] - p1[1]) - e[1] * (q2[:, 0] - p1[0])
-        f = q2 - q1
-        d3 = f[:, 0] * (p1[1] - q1[:, 1]) - f[:, 1] * (p1[0] - q1[:, 0])
-        d4 = f[:, 0] * (p2[1] - q1[:, 1]) - f[:, 1] * (p2[0] - q1[:, 0])
-        if np.any((d1 * d2 < 0) & (d3 * d4 < 0)):
-            return True
-    return False
+    # Edge i meets edges i+1 and i-1 at shared vertices; skip those.
+    return any(_edge_crosses(pts[i], b[i], pts[i + 2:n - (i == 0)],
+                             b[i + 2:n - (i == 0)]) for i in range(n))
 
 
 def _polylines_cross(pa, pb):
-    for i in range(len(pa)):
-        a1, a2 = pa[i], pa[(i + 1) % len(pa)]
-        for j in range(len(pb)):
-            if _segments_intersect(a1, a2, pb[j], pb[(j + 1) % len(pb)]):
-                return True
-    return False
+    """Whether an edge of closed polyline ``pa`` crosses one of ``pb``."""
+    a2, b2 = np.roll(pa, -1, axis=0), np.roll(pb, -1, axis=0)
+    return any(_edge_crosses(pa[i], a2[i], pb, b2) for i in range(len(pa)))
 
 
 class DomainSpec:

@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose
 
 from drumspec.analytic_spectra import Spectrum, disk_spectrum, rectangle_spectrum
 from drumspec.asymptotic_fit import (
+    BLIND_TERMS,
     choose_window,
     fit_expansion,
     fit_report,
@@ -81,7 +82,7 @@ class TestExactRecovery:
         coeffs = [0.0795775, -0.282095, 0.25, 0.1]
         samples = synthetic_samples(coeffs, np.geomspace(1e-4, 2e-2, 60))
         fit = fit_expansion(samples)
-        got = [fit.a_minus1, fit.a_minus_half, fit.a0, fit.a_half]
+        got = [fit.coef[n] for n in BLIND_TERMS]
         assert_allclose(got, coeffs, rtol=1e-8)
 
     def test_random_coefficient_draws(self):
@@ -99,7 +100,7 @@ class TestExactRecovery:
             samples = synthetic_samples(coeffs, grid)
             assert np.all(samples.values > 0)
             fit = fit_expansion(samples)
-            got = np.array([fit.a_minus1, fit.a_minus_half, fit.a0, fit.a_half])
+            got = np.array([fit.coef[n] for n in BLIND_TERMS])
             rel = np.max(np.abs(got - coeffs) / np.maximum(np.abs(coeffs), 1e-3))
             worst = max(worst, rel)
         assert worst <= 1e-6
@@ -116,7 +117,7 @@ class TestExactRecovery:
             tail_bounds=samples.tail_bounds, cutoff=samples.cutoff,
             safety_factor=samples.safety_factor, flagged=samples.flagged)
         fit1 = fit_expansion(noisy)
-        assert abs(fit1.a0 - fit0.a0) <= 1e-3
+        assert abs(fit1.coef["a0"] - fit0.coef["a0"]) <= 1e-3
 
 
 class TestAssistedMode:
@@ -126,10 +127,11 @@ class TestAssistedMode:
         samples = evaluate_trace(spec, grid)
         fit = fit_expansion(samples, mode="assisted", area=1.0, perimeter=4.0)
         assert fit.mode == "assisted"
-        assert_allclose(fit.a_minus1, 1.0 / (4 * PI), rtol=1e-15)
-        assert_allclose(fit.a_minus_half, -0.5 / math.sqrt(PI), rtol=1e-15)
-        assert fit.sigma_a_minus1 == 0.0
-        assert abs(fit.a0 - 0.25) < 5e-4
+        assert_allclose(fit.coef["a_minus1"], 1.0 / (4 * PI), rtol=1e-15)
+        assert_allclose(fit.coef["a_minus_half"], -0.5 / math.sqrt(PI),
+                        rtol=1e-15)
+        assert fit.sigma["a_minus1"] == 0.0
+        assert abs(fit.coef["a0"] - 0.25) < 5e-4
 
     def test_assisted_needs_geometry(self):
         samples = synthetic_samples([0.1, -0.3, 0.25, 0.0],
@@ -188,7 +190,7 @@ class TestConsistencyChecks:
         fit = fit_expansion(evaluate_trace(spec, grid))
         fit_half = fit_expansion(
             evaluate_trace(spec, np.geomspace(t_min, t_max / 2, 48)))
-        assert abs(fit_half.a0 - fit.a0) <= 1e-3
+        assert abs(fit_half.coef["a0"] - fit.coef["a0"]) <= 1e-3
 
 
 class TestFitReport:
@@ -225,4 +227,4 @@ class TestFitReport:
         fit = self._square_fit()
         # coefficient tolerance judged against the operative scale: the
         # statistical sigma alone underestimates systematic window drift
-        assert abs(fit.a0 - 0.25) <= max(3 * fit.sigma_a0, 1e-3)
+        assert abs(fit.coef["a0"] - 0.25) <= max(3 * fit.sigma["a0"], 1e-3)

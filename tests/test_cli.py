@@ -1,6 +1,8 @@
 """Exit codes of the command-line interface, run in-process on cheap inputs."""
 
+import numpy as np
 import pytest
+from numpy.testing import assert_allclose, assert_array_equal
 
 from drumspec.analytic_spectra import Spectrum, rectangle_spectrum, write_spectrum
 from drumspec.cli import main
@@ -24,11 +26,14 @@ def domain_file(tmp_path):
     return write
 
 
-def fem_square_spectrum(tmp_path, t_min_bias):
+def fem_square_spectrum(tmp_path, t_min_bias, drift=0.0):
     """Exact unit-square spectrum at cutoff 2e4, labelled as a FEM spectrum
-    with the given drift floor."""
+    with the given drift floor.  A nonzero ``drift`` raises each eigenvalue
+    to lambda * (1 + drift * lambda), the leading form of a discretisation's
+    upward drift, and keeps those still below the cutoff."""
     exact = rectangle_spectrum(1.0, 1.0, 2.0e4)
-    spec = Spectrum(exact.eigenvalues, exact.cutoff, "fem",
+    lam = exact.eigenvalues * (1.0 + drift * exact.eigenvalues)
+    spec = Spectrum(lam[lam <= exact.cutoff], exact.cutoff, "fem",
                     domain_label="fem-square", area_hint=exact.area_hint,
                     perimeter_hint=exact.perimeter_hint,
                     meta={"t_min_bias": t_min_bias})
@@ -103,3 +108,40 @@ def test_binding_fem_floor_exits_3_without_cutoff_hint(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "refine the mesh size h" in err
     assert "need cutoff" not in err
+
+
+@pytest.mark.parametrize("source", ["exact", "fem"])
+def test_plotdata_draws_the_reported_fit(tmp_path, source):
+    if source == "exact":
+        exact = rectangle_spectrum(1.0, 1.0, 2.0e4)
+        spec, label = str(tmp_path / "square.spectrum"), exact.domain_label
+        write_spectrum(exact, spec)
+    else:
+        spec = fem_square_spectrum(tmp_path, t_min_bias=0.01, drift=1e-6)
+        label = "fem-square"
+    out = tmp_path / "out"
+    assert main(["classify", "--spectrum", spec, "--out", str(out)]) == 10
+    report, trace = out / f"{label}_report.txt", out / f"{label}_trace.txt"
+    assert main(["plotdata", "--report", str(report), "--trace", str(trace),
+                 "--out", str(out)]) == 0
+    fit = read_report(report)["fit"]
+    # FEM fits carry the 1/t^2 drift term; here it moves the curve by far
+    # more than the fit's residual, so a curve without it fails below.
+    assert ("a_pollution" in fit) == (source == "fem")
+    t, h, curve, resid = np.loadtxt(out / "fit_curve.txt", delimiter=",",
+                                    skiprows=1).T
+    samples = read_trace(trace)
+    assert_array_equal(t, samples.grid)
+    assert_array_equal(h, samples.values)
+    assert_allclose(resid, h - curve, rtol=0, atol=1e-13 * h.max())
+    # max_rel_residual comes from the column-scaled system; re-evaluating
+    # the model from the report adds rounding of order 1e-15 relative.
+    assert np.all(np.abs(resid) <= (fit["max_rel_residual"] + 1e-12) * h)
+
+
+def test_injected_a0_bias_fails_exactly_the_classifier_row(tmp_path):
+    assert main(["verify", "--skip-fem", "--inject-a0-bias", "0.1",
+                 "--out", str(tmp_path)]) == 1
+    failures = read_report(tmp_path / "verify_failures.txt")["failures"]
+    assert [f["name"] for f in failures] == ["classifier/corpus"]
+    assert failures[0]["detail"].endswith("wrong verdicts: disk:has_corners")

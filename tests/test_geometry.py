@@ -12,6 +12,8 @@ from drumspec.geometry import (
     DomainSpec,
     LineSegment,
     _polygon_contains,
+    _polyline_self_intersects,
+    _polylines_cross,
     detect_corners,
     gauss_bonnet_check,
     load_domain,
@@ -211,6 +213,27 @@ class TestValidation:
         with pytest.raises(InvalidDomainError, match="inside"):
             DomainSpec([outer, hole])
 
+    @staticmethod
+    def loop(pts):
+        return [LineSegment(pts[i], pts[(i + 1) % len(pts)])
+                for i in range(len(pts))]
+
+    def test_hole_crossing_outer_loop_rejected(self):
+        # Every hole vertex lies inside the L, but one hole edge cuts
+        # across the notch at the reflex corner.
+        outer = self.loop([(0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2)])
+        hole = self.loop([(0.3, 0.3), (0.5, 1.8), (1.8, 0.5)])
+        with pytest.raises(InvalidDomainError, match="crosses the outer loop"):
+            DomainSpec([outer, hole])
+
+    def test_overlapping_holes_rejected(self):
+        # A plus sign: neither bar has a vertex inside the other.
+        outer = self.loop([(0, 0), (4, 0), (4, 4), (0, 4)])
+        across = self.loop([(1, 1.8), (1, 2.2), (3, 2.2), (3, 1.8)])
+        upright = self.loop([(1.8, 1), (1.8, 3), (2.2, 3), (2.2, 1)])
+        with pytest.raises(InvalidDomainError, match="hole loops 1 and 2"):
+            DomainSpec([outer, across, upright])
+
     def test_outer_loop_must_be_ccw(self):
         pts = [(0, 0), (0, 1), (1, 1), (1, 0)]  # clockwise
         segs = [LineSegment(pts[i], pts[(i + 1) % 4]) for i in range(4)]
@@ -295,6 +318,55 @@ def adversarial_points(poly, rng):
     level = np.column_stack([rng.uniform(lo[0], hi[0], len(poly)), poly[:, 1]])
     on_edges = [poly + t * (nxt - poly) for t in (0.25, 0.5, 1.0 / 3.0)]
     return np.concatenate([poly, level, *on_edges])
+
+
+def polylines_cross_per_pair(pa, pb, self_check=False):
+    """Strict crossing test, one pair of edges at a time: the reference that
+    the row-vectorised crossing routines must match.  With ``self_check``
+    pb is pa and edges that share a vertex are skipped."""
+    def cross(u, v):
+        return u[0] * v[1] - u[1] * v[0]
+
+    n, m = len(pa), len(pb)
+    for i in range(n):
+        p1, p2 = pa[i], pa[(i + 1) % n]
+        for j in range(m):
+            if self_check and (i - j) % n in (0, 1, n - 1):
+                continue
+            q1, q2 = pb[j], pb[(j + 1) % m]
+            d1, d2 = cross(p2 - p1, q1 - p1), cross(p2 - p1, q2 - p1)
+            d3, d4 = cross(q2 - q1, p1 - q1), cross(q2 - q1, p2 - q1)
+            if d1 * d2 < 0 and d3 * d4 < 0:
+                return True
+    return False
+
+
+class TestCrossing:
+    def test_matches_per_pair_reference(self):
+        rng = np.random.default_rng(9)
+        seen = set()
+        for _ in range(300):
+            pa = rng.uniform(size=(rng.integers(3, 10), 2))
+            pb = rng.uniform(size=(rng.integers(3, 10), 2)) \
+                + rng.uniform(-1.2, 1.2, size=2)
+            for got, want in [
+                    (_polylines_cross(pa, pb), polylines_cross_per_pair(pa, pb)),
+                    (_polyline_self_intersects(pa),
+                     polylines_cross_per_pair(pa, pa, self_check=True))]:
+                assert got == want
+                seen.add(got)
+        assert seen == {True, False}
+
+    def test_touching_is_not_crossing(self):
+        poly = make_lshape()._polylines[0]
+        assert not _polylines_cross(poly, poly)
+        assert not _polylines_cross(poly, poly[::-1])
+        assert not _polyline_self_intersects(poly)
+        # A vertex on the interior of the other polyline's edge.
+        square = np.array([[0, 0], [2, 0], [2, 2], [0, 2]], dtype=float)
+        touching = np.array([[1, 0], [1.5, 1], [0.5, 1]], dtype=float)
+        assert not _polylines_cross(square, touching)
+        assert not _polylines_cross(touching, square)
 
 
 class TestContainment:
