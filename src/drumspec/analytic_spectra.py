@@ -14,6 +14,7 @@ import numpy as np
 from scipy.special import jv
 
 from .errors import EmptySpectrumError, NumericError
+from .reporting import read_table, write_table
 
 BESSEL_RTOL = 1e-12
 MULTIPLICITY_RTOL = 1e-9
@@ -341,65 +342,39 @@ def weyl_ratio(spectrum, area):
 
 
 # ---------------------------------------------------------------------------
-# Spectrum files: '# cutoff=... area_hint=...' header, then CSV rows
-# index,eigenvalue,multiplicity_hint with 17 significant digits.
+# Spectrum files: a reporting table (see ``reporting``) with the header
+# lines 'cutoff area_hint', 'source domain_label', 'perimeter_hint' and one
+# per meta key, and the rows index,eigenvalue,multiplicity_hint.
+
+SPECTRUM_COLUMNS = ("index", "eigenvalue", "multiplicity_hint")
 
 
 def write_spectrum(spectrum, path):
-    hints = spectrum.multiplicity_hints()
     area = "nan" if spectrum.area_hint is None else f"{spectrum.area_hint:.17g}"
-    lines = [f"# cutoff={spectrum.cutoff:.17g} area_hint={area}"]
-    lines.append(f"# source={spectrum.source} domain_label={spectrum.domain_label}")
+    header = [{"cutoff": f"{spectrum.cutoff:.17g}", "area_hint": area},
+              {"source": spectrum.source, "domain_label": spectrum.domain_label}]
     if spectrum.perimeter_hint is not None:
-        lines.append(f"# perimeter_hint={spectrum.perimeter_hint:.17g}")
-    for key in sorted(spectrum.meta):
-        lines.append(f"# {key}={spectrum.meta[key]}")
-    lines.append("index,eigenvalue,multiplicity_hint")
-    for i, (lam, mult) in enumerate(zip(spectrum.eigenvalues, hints), start=1):
-        lines.append(f"{i},{lam:.17g},{mult}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        header.append({"perimeter_hint": f"{spectrum.perimeter_hint:.17g}"})
+    header += [{key: str(spectrum.meta[key])} for key in sorted(spectrum.meta)]
+    lam = spectrum.eigenvalues
+    rows = zip(range(1, len(lam) + 1), lam.tolist(),
+               spectrum.multiplicity_hints().tolist())
+    write_table(path, header, SPECTRUM_COLUMNS, "{},{:.17g},{}", rows)
 
 
 def read_spectrum(path):
-    cutoff = None
-    area_hint = None
-    perimeter_hint = None
-    meta = {}
-    source = "file"
-    label = ""
-    values = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                for token in line[1:].split():
-                    if "=" not in token:
-                        continue
-                    key, _, val = token.partition("=")
-                    if key == "cutoff":
-                        cutoff = float(val)
-                    elif key == "area_hint":
-                        area_hint = None if val == "nan" else float(val)
-                    elif key == "perimeter_hint":
-                        perimeter_hint = float(val)
-                    elif key == "source":
-                        source = val
-                    elif key == "domain_label":
-                        label = val
-                    else:
-                        meta[key] = val
-                continue
-            if line.startswith("index,"):
-                continue
-            parts = line.split(",")
-            values.append(float(parts[1]))
-    if cutoff is None:
+    meta, rows = read_table(path, SPECTRUM_COLUMNS)
+    if "cutoff" not in meta:
         raise ValueError(f"{path}: missing '# cutoff=' header")
-    return Spectrum(values, cutoff, source, domain_label=label,
-                    area_hint=area_hint, perimeter_hint=perimeter_hint, meta=meta)
+    cutoff = float(meta.pop("cutoff"))
+    area = meta.pop("area_hint", "nan")
+    perimeter = meta.pop("perimeter_hint", None)
+    source = meta.pop("source", "file")
+    label = meta.pop("domain_label", "")
+    return Spectrum(rows[:, 1], cutoff, source, domain_label=label,
+                    area_hint=None if area == "nan" else float(area),
+                    perimeter_hint=None if perimeter is None else float(perimeter),
+                    meta=meta)
 
 
 # ---------------------------------------------------------------------------

@@ -80,6 +80,7 @@ class Verdict:
     chi: int
     decision_z: float
     robustness_shift: float
+    robust: bool  # passed the window-robustness probe
     fit: object = None
     samples: object = None
 
@@ -144,7 +145,7 @@ def classify(spectrum, chi=1, decision_z=DEFAULT_DECISION_Z,
     return Verdict(decision=decision, a0_estimate=a0, uncertainty=sigma_eff,
                    threshold=threshold, margin=margin, chi=int(chi),
                    decision_z=decision_z, robustness_shift=shift,
-                   fit=fit, samples=samples)
+                   robust=robust, fit=fit, samples=samples)
 
 
 def isospectral_compare(spec_a, spec_b, count, rel_tol):

@@ -199,10 +199,12 @@ def cmd_verify(cfg):
 
 
 def cmd_plotdata(cfg):
+    import yaml
+
     from .asymptotic_fit import BLIND_TERMS, TERMS, model
     from .geometry import make_regular_polygon
     from .heat_trace import read_trace, theoretical_coefficients
-    from .reporting import read_report
+    from .reporting import read_report, write_table
 
     out = _outdir(cfg)
     wrote = []
@@ -213,10 +215,13 @@ def cmd_plotdata(cfg):
         try:
             report = read_report(cfg.report)
             samples = read_trace(cfg.trace)
-        except (OSError, ValueError) as exc:
+        except (OSError, ValueError, yaml.YAMLError) as exc:
             print(f"missing or unreadable artifacts: {exc}", file=sys.stderr)
             return EXIT_MISSING_ARTIFACTS
-        fit = report.get("fit", {})
+        fit = report.get("fit") if isinstance(report, dict) else None
+        if not isinstance(fit, dict):
+            print(f"{cfg.report}: not a report with a fit", file=sys.stderr)
+            return EXIT_MISSING_ARTIFACTS
         missing = [name for name in BLIND_TERMS if name not in fit]
         if missing:
             print(f"report lacks fit coefficients {missing}", file=sys.stderr)
@@ -225,18 +230,16 @@ def cmd_plotdata(cfg):
         curve = model({name: fit[name] for name in TERMS if name in fit}, t)
         resid = samples.values - curve
         path = out / "fit_curve.txt"
-        with open(path, "w") as fh:
-            fh.write("t,h,model,residual\n")
-            for row in zip(t, samples.values, curve, resid):
-                fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+        write_table(path, [], ("t", "h", "model", "residual"),
+                    "{:.17g},{:.17g},{:.17g},{:.17g}",
+                    zip(t.tolist(), samples.values.tolist(), curve.tolist(),
+                        resid.tolist()))
         wrote.append(path)
 
     path = out / "polygon_a0.txt"
-    with open(path, "w") as fh:
-        fh.write("n,a0\n")
-        for n in range(3, 25):
-            a0 = theoretical_coefficients(make_regular_polygon(n)).a0
-            fh.write(f"{n},{a0:.17g}\n")
+    write_table(path, [], ("n", "a0"), "{},{:.17g}",
+                ((n, theoretical_coefficients(make_regular_polygon(n)).a0)
+                 for n in range(3, 25)))
     wrote.append(path)
     print("wrote " + ", ".join(str(p) for p in wrote))
     return EXIT_OK

@@ -154,14 +154,9 @@ def build_corpus(seed=0, inject_a0_bias=0.0, fem=True):
     harness itself can be tested (a nonzero bias must fail exactly the
     classifier rows and nothing else).
     """
-    from .asymptotic_fit import (
-        choose_window,
-        fit_expansion,
-        implied_area,
-        implied_perimeter,
-    )
+    from .asymptotic_fit import fit_expansion, implied_area, implied_perimeter
     from .classifier import classify, decide_from_estimate, f_corner
-    from .heat_trace import evaluate_trace, theoretical_coefficients
+    from .heat_trace import theoretical_coefficients
 
     checks = []
     spectra_by_label = {}
@@ -268,13 +263,10 @@ def build_corpus(seed=0, inject_a0_bias=0.0, fem=True):
             if not ref.analytic and not fem:
                 continue
             verdict = reference_verdict(ref)
-            a0_est = verdict.a0_estimate + inject_a0_bias
-            if inject_a0_bias != 0.0:
-                decision, _ = decide_from_estimate(
-                    a0_est, verdict.uncertainty, chi=verdict.chi,
-                    decision_z=verdict.decision_z)
-            else:
-                decision = verdict.decision
+            decision, _ = decide_from_estimate(
+                verdict.a0_estimate + inject_a0_bias, verdict.uncertainty,
+                chi=verdict.chi, decision_z=verdict.decision_z,
+                robust=verdict.robust)
             if ref.has_corners and decision != "has_corners":
                 wrong.append(f"{ref.label}:{decision}")
             if not ref.has_corners and decision == "has_corners":
@@ -288,10 +280,10 @@ def build_corpus(seed=0, inject_a0_bias=0.0, fem=True):
     if fem:
         def lshape_assisted():
             ref = next(r for r in REFERENCE_DOMAINS if r.label == "lshape")
-            spec = reference_spectrum(ref)
-            _, _, grid = choose_window(spec)
+            # classify uses the default kappa, so its trace is on the
+            # window this fit wants.
             dom = ref.build()
-            fit = fit_expansion(evaluate_trace(spec, grid), mode="assisted",
+            fit = fit_expansion(reference_verdict(ref).samples, mode="assisted",
                                 area=dom.area(), perimeter=dom.perimeter(),
                                 pollution_term=True)
             err = abs(fit.coef["a0"] - ref.a0)

@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import ConsistencyError, EmptySpectrumError
 from .geometry import detect_corners
+from .reporting import read_table, write_table
 
 PI = math.pi
 
@@ -103,8 +104,6 @@ class TraceSamples:
     values: np.ndarray
     tail_bounds: np.ndarray
     cutoff: float
-    safety_factor: float
-    flagged: np.ndarray  # tail bound exceeds 10% of the partial sum
 
     def __len__(self):
         return len(self.grid)
@@ -118,8 +117,8 @@ def evaluate_trace(spectrum, grid):
     = |Omega| exp(-cutoff t) / (4 pi t), inflated by DEFAULT_TAIL_SAFETY
     because the density estimate is asymptotic, not rigorous.  The area
     comes from the spectrum's own hint or, without one, the Weyl estimate
-    4 pi K / cutoff.  Grid points whose bound exceeds 10% of the partial sum
-    are flagged, not rejected.
+    4 pi K / cutoff.  The bound is reported however large it is; no grid
+    point is rejected.
 
     Each grid point's terms are summed exactly (fsum), so the results do
     not depend on the order or chunking of the summation.
@@ -141,10 +140,8 @@ def evaluate_trace(spectrum, grid):
     tails = DEFAULT_TAIL_SAFETY * area * np.exp(-spectrum.cutoff * t) / (4.0 * PI * t)
     # Positive by definition; keep it so when exp underflows at huge cutoff*t.
     tails = np.maximum(tails, np.finfo(float).tiny)
-    flagged = tails > 0.1 * values
     return TraceSamples(grid=t, values=values, tail_bounds=tails,
-                        cutoff=spectrum.cutoff, safety_factor=DEFAULT_TAIL_SAFETY,
-                        flagged=flagged)
+                        cutoff=spectrum.cutoff)
 
 
 def wedge_trace(area, side_length, theta, t):
@@ -165,41 +162,23 @@ def wedge_trace(area, side_length, theta, t):
 
 
 # ---------------------------------------------------------------------------
-# Trace sample files: 't,h,tail_bound' rows under a '# cutoff=...' header.
+# Trace sample files: a reporting table (see ``reporting``) with the header
+# line 'cutoff safety_factor' and the rows t,h,tail_bound.
+
+TRACE_COLUMNS = ("t", "h", "tail_bound")
 
 
 def write_trace(samples, path):
-    lines = [f"# cutoff={samples.cutoff:.17g} safety_factor={samples.safety_factor:.17g}"]
-    lines.append("t,h,tail_bound")
-    for t, h, b in zip(samples.grid, samples.values, samples.tail_bounds):
-        lines.append(f"{t:.17g},{h:.17g},{b:.17g}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    header = [{"cutoff": f"{samples.cutoff:.17g}",
+               "safety_factor": f"{DEFAULT_TAIL_SAFETY:.17g}"}]
+    rows = zip(samples.grid.tolist(), samples.values.tolist(),
+               samples.tail_bounds.tolist())
+    write_table(path, header, TRACE_COLUMNS, "{:.17g},{:.17g},{:.17g}", rows)
 
 
 def read_trace(path):
-    cutoff = None
-    safety = DEFAULT_TAIL_SAFETY
-    rows = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                for token in line[1:].split():
-                    key, _, val = token.partition("=")
-                    if key == "cutoff":
-                        cutoff = float(val)
-                    elif key == "safety_factor":
-                        safety = float(val)
-                continue
-            if line.startswith("t,"):
-                continue
-            rows.append([float(x) for x in line.split(",")])
-    if cutoff is None or not rows:
+    header, rows = read_table(path, TRACE_COLUMNS)
+    if "cutoff" not in header or not len(rows):
         raise ValueError(f"{path}: not a trace sample file")
-    arr = np.array(rows)
-    return TraceSamples(grid=arr[:, 0], values=arr[:, 1], tail_bounds=arr[:, 2],
-                        cutoff=cutoff, safety_factor=safety,
-                        flagged=arr[:, 2] > 0.1 * arr[:, 1])
+    return TraceSamples(grid=rows[:, 0], values=rows[:, 1],
+                        tail_bounds=rows[:, 2], cutoff=float(header["cutoff"]))

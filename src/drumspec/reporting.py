@@ -1,14 +1,25 @@
-"""Deterministic serialization for reports.
+"""Deterministic serialization for reports and tables.
 
 Reports are nested dicts of scalars/lists written as YAML with insertion
 order preserved and floats emitted via repr (shortest exact round-trip), so
 identical inputs produce byte-identical files and parsing recovers the exact
 values.
+
+Tables (spectrum, trace sample and plotting files) share one text format:
+'# key=value key=value' header lines, one per group of keys, a line of
+comma-separated column names, then comma-separated rows with floats to 17
+significant digits, so reading a table back recovers the exact doubles.  A
+header value runs to the next ' key=' or to the end of its line.
 """
 
 import hashlib
+import re
+from itertools import starmap
 
+import numpy as np
 import yaml
+
+_HEADER_ITEM = re.compile(r"(\w+)=(.*?)(?=\s+\w+=|\s*$)")
 
 
 class _Dumper(yaml.SafeDumper):
@@ -24,8 +35,6 @@ _Dumper.add_representer(float, _float_representer)
 
 def _sanitize(obj):
     """Coerce numpy scalars/arrays to native types for serialization."""
-    import numpy as np
-
     if isinstance(obj, dict):
         return {k: _sanitize(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -60,6 +69,39 @@ def read_report(path):
         return parse_report(fh.read())
 
 
+def write_table(path, header, columns, row_format, rows):
+    """One '#' line per dict of preformatted header values, the column
+    names, then ``row_format.format(*row)`` per row.  Plain Python values
+    (``ndarray.tolist()``) format faster than numpy scalars."""
+    lines = ["# " + " ".join(f"{key}={val}" for key, val in group.items())
+             for group in header]
+    lines.append(",".join(columns))
+    lines.extend(starmap(row_format.format, rows))
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def read_table(path, columns):
+    """(header, rows) of a table: the header as one dict of strings, the
+    rows as an (n, len(columns)) float array.  Raises ValueError unless the
+    column line names ``columns`` and every row has that many numbers."""
+    with open(path) as fh:
+        lines = fh.read().splitlines()
+    header, i = {}, 0
+    while i < len(lines) and lines[i].startswith("#"):
+        header.update(_HEADER_ITEM.findall(lines[i]))
+        i += 1
+    if lines[i:i + 1] != [",".join(columns)]:
+        raise ValueError(f"{path}: no column line {','.join(columns)!r}")
+    body = lines[i + 1:]
+    rows = (np.loadtxt(body, delimiter=",", ndmin=2) if any(body)
+            else np.empty((0, len(columns))))
+    if rows.shape[1] != len(columns):
+        raise ValueError(f"{path}: rows have {rows.shape[1]} columns, "
+                         f"expected {len(columns)}")
+    return header, rows
+
+
 def digest_file(path):
     sha = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -69,6 +111,4 @@ def digest_file(path):
 
 
 def digest_array(arr):
-    import numpy as np
-
     return "sha256:" + hashlib.sha256(np.ascontiguousarray(arr).tobytes()).hexdigest()

@@ -337,6 +337,31 @@ class TestSpectrumFiles:
         assert back.area_hint == spec.area_hint
         assert back.source == "analytic"
 
+    def test_roundtrip_keeps_every_header_field(self, tmp_path):
+        # FEM-style meta: an int, a float written with str(), a string.
+        meta = {"slices": 6, "h": 0.07, "tool_version": "0.1.0"}
+        spec = Spectrum([19.7392088, 49.3480220, 49.3480220], 60.0, "fem",
+                        domain_label="unit square", area_hint=1.0,
+                        perimeter_hint=4.0, meta=meta)
+        path = tmp_path / "sq.spectrum"
+        write_spectrum(spec, path)
+        back = read_spectrum(path)
+        assert_allclose(back.eigenvalues, spec.eigenvalues, rtol=0, atol=0)
+        assert back.domain_label == "unit square"
+        assert back.perimeter_hint == 4.0
+        assert back.source == "fem"
+        assert back.meta == {key: str(val) for key, val in meta.items()}
+        again = tmp_path / "again.spectrum"
+        write_spectrum(back, again)
+        assert again.read_bytes() == path.read_bytes()
+
+    def test_rewrite_is_byte_identical(self, tmp_path):
+        spec = disk_spectrum(1.0, 2.0e3)
+        path, again = tmp_path / "disk.spectrum", tmp_path / "again.spectrum"
+        write_spectrum(spec, path)
+        write_spectrum(read_spectrum(path), again)
+        assert again.read_bytes() == path.read_bytes()
+
     def test_header_format(self, tmp_path):
         spec = rectangle_spectrum(1.0, 1.0, 100.0)
         path = tmp_path / "sq.spectrum"

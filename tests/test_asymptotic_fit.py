@@ -27,8 +27,7 @@ def synthetic_samples(coeffs, t_grid, noise=None, rng=None):
     if noise is not None:
         h = h * (1.0 + noise * rng.standard_normal(len(t)))
     return TraceSamples(grid=t, values=h, tail_bounds=np.full(len(t), 1e-30),
-                        cutoff=math.inf, safety_factor=2.0,
-                        flagged=np.zeros(len(t), dtype=bool))
+                        cutoff=math.inf)
 
 
 class TestChooseWindow:
@@ -114,8 +113,7 @@ class TestExactRecovery:
         noisy = TraceSamples(
             grid=samples.grid,
             values=samples.values * (1 + 1e-6 * rng.standard_normal(len(samples))),
-            tail_bounds=samples.tail_bounds, cutoff=samples.cutoff,
-            safety_factor=samples.safety_factor, flagged=samples.flagged)
+            tail_bounds=samples.tail_bounds, cutoff=samples.cutoff)
         fit1 = fit_expansion(noisy)
         assert abs(fit1.coef["a0"] - fit0.coef["a0"]) <= 1e-3
 
@@ -152,8 +150,7 @@ class TestFitGuards:
         samples = synthetic_samples([0.1, -0.3, 0.25, 0.0], t)
         bad = TraceSamples(grid=t, values=samples.values,
                            tail_bounds=0.02 * samples.values,
-                           cutoff=1e4, safety_factor=2.0,
-                           flagged=np.zeros(len(t), dtype=bool))
+                           cutoff=1e4)
         with pytest.raises(FitError, match="tail"):
             fit_expansion(bad)
 
@@ -162,8 +159,7 @@ class TestFitGuards:
         h = 0.1 / t + 0.25
         samples = TraceSamples(grid=t, values=h,
                                tail_bounds=np.full(len(t), 1e-30),
-                               cutoff=math.inf, safety_factor=2.0,
-                               flagged=np.zeros(len(t), dtype=bool))
+                               cutoff=math.inf)
         with pytest.raises(FitError, match="condition"):
             fit_expansion(samples)
 

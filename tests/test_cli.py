@@ -84,6 +84,46 @@ def test_plotdata_without_trace_exits_4(tmp_path):
                  "--out", str(tmp_path)]) == 4
 
 
+@pytest.fixture
+def classified_square(tmp_path):
+    """Report and trace of a classified exact square spectrum."""
+    exact = rectangle_spectrum(1.0, 1.0, 2.0e4)
+    spec, label = tmp_path / "square.spectrum", exact.domain_label
+    write_spectrum(exact, spec)
+    out = tmp_path / "out"
+    assert main(["classify", "--spectrum", str(spec), "--out", str(out)]) == 10
+    report, trace = out / f"{label}_report.txt", out / f"{label}_trace.txt"
+    assert plotdata(report, trace, out) == 0
+    return report, trace
+
+
+def plotdata(report, trace, out):
+    return main(["plotdata", "--report", str(report), "--trace", str(trace),
+                 "--out", str(out)])
+
+
+@pytest.mark.parametrize("text", [
+    "", "fit: [1, 2]\n", "report_version: 1\n", "fit: [\n",
+    "# cutoff=100\nindex,eigenvalue,multiplicity_hint\n1,19.7,1\n",
+], ids=["empty", "fit-not-a-mapping", "no-fit", "not-yaml", "spectrum-file"])
+def test_plotdata_on_a_report_without_a_fit_exits_4(tmp_path, classified_square,
+                                                      text):
+    report = tmp_path / "bad_report.txt"
+    report.write_text(text)
+    assert plotdata(report, classified_square[1], tmp_path) == 4
+
+
+@pytest.mark.parametrize("table", [
+    "t,h,tail_bound\n1,2\n3,4\n", "t,h,tail_bound\n1,2,3\n4,5\n",
+    "t,h\n1,2\n3,4\n",
+], ids=["two-values-a-row", "ragged", "two-columns"])
+def test_plotdata_on_a_malformed_trace_exits_4(tmp_path, classified_square,
+                                               table):
+    trace = tmp_path / "bad_trace.txt"
+    trace.write_text("# cutoff=20000 safety_factor=2\n" + table)
+    assert plotdata(classified_square[0], trace, tmp_path) == 4
+
+
 def test_classify_without_input_exits_1(tmp_path):
     assert main(["classify", "--out", str(tmp_path)]) == 1
 
