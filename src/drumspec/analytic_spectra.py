@@ -5,7 +5,9 @@ with multiplicity, which is what heat-trace tails require.  Bessel zeros are
 computed for all orders of a spectrum at once, by bracketing sign changes of
 J_nu on a uniform grid that starts just below the first zero and refining
 every bracket with Brent's method, rather than relying on any library zero
-routine.
+routine.  scipy evaluates J_nu only at orders below 2; higher orders are
+reached by forward recurrence in the order, stable because the zero finder
+evaluates J_nu only at x > nu.
 """
 
 import math
@@ -124,9 +126,35 @@ def _mcmahon(nu, k):
 
 
 def _jv(nu, x, lo, hi):
-    """J_nu(x) elementwise; a non-finite value raises NumericError naming
-    the order and the bracket [lo, hi] it was evaluated for."""
-    vals = jv(nu, x)
+    """J_nu(x) elementwise.  With m = floor(nu), scipy's ``jv`` gives J at
+    the orders nu - m and nu - m + 1, both below 2, where it is cheap; the
+    recurrence J_{k+1} = (2k/x) J_k - J_{k-1} climbs the other m - 1 rungs
+    of every lane at once, with the lanes sorted by m so that those still
+    climbing form a prefix.  It is stable upward only while x > nu
+    (Gautschi, SIAM Rev. 9, 1967): a lane with m >= 2 at x <= nu, like a
+    non-finite value, raises NumericError naming the order and the bracket
+    [lo, hi] it was evaluated for."""
+    m = np.floor(nu)
+    below = (m >= 2) & (x <= nu)
+    if below.any():
+        i = int(np.argmax(below))
+        raise NumericError(
+            f"J_{nu[i]:g} recurrence asked for x={x[i]:.17g} <= nu "
+            f"in [{lo[i]:.6g}, {hi[i]:.6g}]")
+    perm = np.argsort(-m, kind="stable")
+    rungs, xs = m[perm], x[perm]
+    base = nu[perm] - rungs
+    # J at the even rungs base + 2i in one array, at the odd ones in the
+    # other: rung j + 1 overwrites rung j - 1.
+    ladder = (jv(base, xs), jv(base + 1.0, xs))
+    twice = 2.0 * base
+    climbing = np.searchsorted(-rungs, -np.arange(1.0, rungs.max(initial=0.0)),
+                               side="left")
+    for j, n in enumerate(climbing.tolist(), start=1):
+        older, newer = ladder[(j + 1) % 2], ladder[j % 2]
+        older[:n] = (twice[:n] + 2 * j) / xs[:n] * newer[:n] - older[:n]
+    vals = np.empty_like(xs)
+    vals[perm] = np.where(rungs % 2 == 0, *ladder)
     bad = ~np.isfinite(vals)
     if bad.any():
         i = int(np.argmax(bad))
@@ -211,6 +239,12 @@ def bessel_j_zeros(orders, upper):
     on every third node and on the last one, and each sign change is
     narrowed to its grid step with at most two more evaluations.  All
     brackets of all orders are refined at once by Brent's method.
+
+    The scan, the narrowing and Brent's method all evaluate J_nu by
+    ``_jv``'s forward recurrence from orders below 2, stable only for
+    x > nu.  That holds: the grid starts at nu + 1.5 nu^(1/3) - 1 > nu for
+    every nu >= 1 (orders below 2 never recur), and every bracket lies
+    inside the grid.
     """
     orders = np.asarray(orders, dtype=float)
     if np.any(orders < 0):

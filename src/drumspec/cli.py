@@ -19,6 +19,7 @@ byte-identical files.
 """
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -48,6 +49,14 @@ def _outdir(cfg):
     path = Path(cfg.out)
     path.mkdir(parents=True, exist_ok=True)
     return path
+
+
+def _file_stem(label):
+    """``label`` as an output file stem: every path separator becomes '_',
+    so the file lands in --out whatever the domain is called."""
+    for sep in {"/", os.sep, os.altsep} - {None}:
+        label = label.replace(sep, "_")
+    return label
 
 
 def _build_parser():
@@ -124,7 +133,7 @@ def cmd_spectrum(cfg):
     spec.meta.setdefault("tool_version", __version__)
     spec.meta.setdefault("domain_digest", digest_file(cfg.domain))
     label = domain.label or Path(cfg.domain).stem
-    out = _outdir(cfg) / f"{label}.spectrum"
+    out = _outdir(cfg) / f"{_file_stem(label)}.spectrum"
     write_spectrum(spec, out)
     print(f"wrote {out} ({len(spec)} eigenvalues <= {spec.cutoff:g}, "
           f"source={spec.source})")
@@ -160,9 +169,9 @@ def cmd_classify(cfg):
                        kappa=cfg.kappa)
     report = fit_report(verdict.fit, theoretical=theoretical, inputs=inputs,
                         verdict=verdict.to_dict())
-    out = _outdir(cfg)
-    report_path = out / f"{label}_report.txt"
-    trace_path = out / f"{label}_trace.txt"
+    out, stem = _outdir(cfg), _file_stem(label)
+    report_path = out / f"{stem}_report.txt"
+    trace_path = out / f"{stem}_trace.txt"
     write_report(report, report_path)
     write_trace(verdict.samples, trace_path)
     print(f"{label}: {verdict.decision} (a0 = {verdict.a0_estimate:.6f} "
@@ -226,8 +235,15 @@ def cmd_plotdata(cfg):
         if missing:
             print(f"report lacks fit coefficients {missing}", file=sys.stderr)
             return EXIT_MISSING_ARTIFACTS
+        coef = {name: fit[name] for name in TERMS if name in fit}
+        bad = [name for name, c in coef.items()
+               if isinstance(c, bool) or not isinstance(c, (int, float))]
+        if bad:
+            print(f"report has fit coefficients {bad} that are not real "
+                  f"numbers", file=sys.stderr)
+            return EXIT_MISSING_ARTIFACTS
         t = samples.grid
-        curve = model({name: fit[name] for name in TERMS if name in fit}, t)
+        curve = model(coef, t)
         resid = samples.values - curve
         path = out / "fit_curve.txt"
         write_table(path, [], ("t", "h", "model", "residual"),

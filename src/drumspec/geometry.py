@@ -744,9 +744,11 @@ def load_domain(path):
     """Parse a domain file; rejects unknown schema versions, kinds and keys."""
     import yaml
 
+    from .reporting import SAFE_LOADER
+
     with open(path) as fh:
         try:
-            doc = yaml.safe_load(fh)
+            doc = yaml.load(fh, Loader=SAFE_LOADER)
         except yaml.YAMLError as exc:
             raise DomainFileError(f"{path}: not parseable ({exc})") from exc
     if not isinstance(doc, dict):

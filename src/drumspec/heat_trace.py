@@ -136,7 +136,8 @@ def evaluate_trace(spectrum, grid):
     if area is None:
         area = 4.0 * PI * len(lam) / spectrum.cutoff
 
-    values = np.array([math.fsum(np.exp(-(tj * lam)).tolist()) for tj in t])
+    # A memoryview spares fsum (correctly rounded whatever it iterates) a list.
+    values = np.array([math.fsum(memoryview(np.exp(-(tj * lam)))) for tj in t])
     tails = DEFAULT_TAIL_SAFETY * area * np.exp(-spectrum.cutoff * t) / (4.0 * PI * t)
     # Positive by definition; keep it so when exp underflows at huge cutoff*t.
     tails = np.maximum(tails, np.finfo(float).tiny)

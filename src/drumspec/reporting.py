@@ -21,6 +21,10 @@ import yaml
 
 _HEADER_ITEM = re.compile(r"(\w+)=(.*?)(?=\s+\w+=|\s*$)")
 
+# The libyaml parser when PyYAML was built with it: the same documents, about
+# seven times faster to parse than the pure-Python SafeLoader.
+SAFE_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
 
 class _Dumper(yaml.SafeDumper):
     pass
@@ -56,7 +60,7 @@ def dump_report(report):
 
 
 def parse_report(text):
-    return yaml.safe_load(text)
+    return yaml.load(text, Loader=SAFE_LOADER)
 
 
 def write_report(report, path):

@@ -71,20 +71,43 @@ def bisection_bessel_zero(nu, k, dps=25):
         raise AssertionError("unreachable")
 
 
-def scan_brentq_zeros(nu, upper):
-    """Reference finder, one order at a time: J_nu on the whole pi/4 scan
-    grid, then one scalar brentq per sign change."""
+def production_jv(nu, x):
+    """The production evaluator ``_jv`` for one order nu over an array x."""
+    x = np.asarray(x, dtype=float)
+    return analytic_spectra._jv(np.full(x.shape, float(nu)), x, x, x)
+
+
+def scan_brentq_zeros(nu, upper, j):
+    """Reference finder, one order at a time: J_nu = j(nu, x) on the whole
+    pi/4 scan grid, then one scalar brentq per sign change."""
     if upper <= nu:
         return np.array([])
     lo = max(nu + 1.5 * nu ** (1.0 / 3.0) - 1.0, 1e-3) if nu > 0 else 1.0
     step = math.pi / 4.0
     grid = np.arange(lo, upper + 2 * step, step)
-    vals = jv(nu, grid)
+    vals = j(nu, grid)
     sign_change = np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]
-    zeros = [brentq(lambda x: jv(nu, x), grid[i], grid[i + 1],
-                    xtol=1e-300, rtol=BESSEL_RTOL, maxiter=200)
+    zeros = [brentq(lambda x: float(j(nu, np.array([x]))[0]), grid[i],
+                    grid[i + 1], xtol=1e-300, rtol=BESSEL_RTOL, maxiter=200)
              for i in sign_change]
     return np.array([z for z in zeros if z <= upper])
+
+
+def zero_finder_cases():
+    """Integer orders (disk) and sector orders m pi/theta, with uppers from
+    below the first zero to the sqrt of a 1e4 cutoff, and a few orders, not
+    in ascending order, up to the sqrt of 4e5; orders at or above upper
+    contribute nothing."""
+    cases = []
+    for upper in [0.5, 2.4, 7.0, 31.0, math.sqrt(1.0e4)]:
+        cases.append((list(range(int(upper) + 3)), upper))
+        for theta in [PI / 2, PI, 2 * PI / 3, 1.3, 5.9]:
+            m_max = int(upper * theta / PI) + 2
+            cases.append(([m * PI / theta for m in range(1, m_max + 1)], upper))
+    upper = math.sqrt(4.0e5)
+    cases.append(([0, 1, 2, 0.25, 7 * PI / 1.3, 150.0, 402.5, 620.0, 630.0,
+                   633.0], upper))
+    return cases
 
 
 class TestBesselZeros:
@@ -115,23 +138,44 @@ class TestBesselZeros:
         assert bessel_j_zeros([], 5.0).size == 0
 
     def test_all_orders_equal_per_order_scan_and_brentq(self):
-        # Integer orders (disk) and sector orders m pi/theta, with uppers
-        # from below the first zero to the sqrt of a 1e4 cutoff, and a few
-        # orders, not in ascending order, up to the sqrt of 4e5; orders at
-        # or above upper contribute nothing.
-        cases = []
-        for upper in [0.5, 2.4, 7.0, 31.0, math.sqrt(1.0e4)]:
-            cases.append((list(range(int(upper) + 3)), upper))
-            for theta in [PI / 2, PI, 2 * PI / 3, 1.3, 5.9]:
-                m_max = int(upper * theta / PI) + 2
-                cases.append(([m * PI / theta for m in range(1, m_max + 1)], upper))
-        upper = math.sqrt(4.0e5)
-        cases.append(([0, 1, 2, 0.25, 7 * PI / 1.3, 150.0, 402.5, 620.0, 630.0,
-                       633.0], upper))
-        for orders, upper in cases:
-            expect = np.concatenate(
-                [np.empty(0)] + [scan_brentq_zeros(nu, upper) for nu in orders])
+        # The lane port makes the same floating point operations as scalar
+        # brentq on the same evaluator, so the zeros are the same doubles.
+        for orders, upper in zero_finder_cases():
+            expect = np.concatenate([np.empty(0)] + [
+                scan_brentq_zeros(nu, upper, production_jv) for nu in orders])
             assert np.array_equal(bessel_j_zeros(orders, upper), expect)
+
+    def test_zeros_agree_with_scipy_jv_scan_and_brentq(self):
+        for orders, upper in zero_finder_cases():
+            for nu in orders:
+                expect = scan_brentq_zeros(nu, upper, jv)
+                got = bessel_j_zeros([nu], upper)
+                assert got.size == expect.size
+                assert_allclose(got, expect, rtol=BESSEL_RTOL, atol=0)
+
+    def test_recurrence_matches_mpmath_in_the_turning_zone(self):
+        # The scan's first node nu + 1.5 nu^(1/3) - 1 and up to four more
+        # units, where J_nu is largest and the recurrence is least damped;
+        # integer and real orders up to the largest of a 4e5 disk.
+        import mpmath as mp
+
+        rng = np.random.default_rng(1)
+        nu = np.concatenate([rng.integers(2, 634, 300).astype(float),
+                             rng.uniform(2.0, 633.0, 300)])
+        x = nu + 1.5 * nu ** (1.0 / 3.0) - 1.0 + rng.uniform(0.0, 4.0, nu.size)
+        with mp.workdps(30):
+            ref = np.array([float(mp.besselj(mp.mpf(n), mp.mpf(v)))
+                            for n, v in zip(nu.tolist(), x.tolist())])
+        err = np.abs(analytic_spectra._jv(nu, x, x, x) - ref)
+        assert err.max() <= 1e-14
+
+    def test_recurrence_below_the_order_raises(self):
+        nu = np.array([1.5, 7.0, 30.25])
+        x = np.array([1.0, 8.0, 30.0])
+        with pytest.raises(NumericError, match=r"J_30\.25 .*<= nu in \[29, 31\]"):
+            analytic_spectra._jv(nu, x, x - 1.0, x + 1.0)
+        # orders below 2 never recur, so any x goes
+        assert np.isfinite(analytic_spectra._jv(nu[:1], x[:1], x[:1], x[:1])).all()
 
     def test_nan_from_jv_raises(self, monkeypatch):
         monkeypatch.setattr(analytic_spectra, "jv",
@@ -140,15 +184,19 @@ class TestBesselZeros:
             bessel_j_zeros([2.0], 30.0)
 
     def test_nan_during_refinement_raises(self, monkeypatch):
-        # The scan and the narrowing (at most three calls) succeed; a Brent
-        # step fails.
+        # The scan and the narrowing (at most three evaluations) succeed; a
+        # Brent step fails.
         calls = []
+        real_jv = analytic_spectra._jv
 
-        def flaky(nu, x):
+        def flaky(nu, x, lo, hi):
             calls.append(1)
-            return jv(nu, x) if len(calls) <= 3 else np.full(np.shape(x), np.nan)
+            if len(calls) > 3:
+                monkeypatch.setattr(analytic_spectra, "jv",
+                                    lambda nu, x: np.full(np.shape(x), np.nan))
+            return real_jv(nu, x, lo, hi)
 
-        monkeypatch.setattr(analytic_spectra, "jv", flaky)
+        monkeypatch.setattr(analytic_spectra, "_jv", flaky)
         with pytest.raises(NumericError, match=r"J_2 .* in \["):
             bessel_j_zeros([2.0], 30.0)
         assert len(calls) == 4

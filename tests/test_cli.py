@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from drumspec.analytic_spectra import Spectrum, rectangle_spectrum, write_spectrum
+from drumspec.analytic_spectra import (
+    Spectrum,
+    read_spectrum,
+    rectangle_spectrum,
+    write_spectrum,
+)
 from drumspec.cli import main
 from drumspec.geometry import (
     make_disk,
@@ -77,6 +82,42 @@ def test_malformed_domain_exits_2(tmp_path):
                  "--out", str(tmp_path)]) == 2
 
 
+def test_unparseable_domain_exits_2(tmp_path, capsys):
+    path = tmp_path / "bad.yaml"
+    path.write_text("schema: 1\nloops: [\n")
+    assert main(["classify", "--domain", str(path),
+                 "--out", str(tmp_path)]) == 2
+    assert "not parseable" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["spectrum", "classify"])
+def test_label_with_a_slash_names_a_file_in_out(tmp_path, domain_file,
+                                                command):
+    domain = make_square()
+    domain.label = "a/b"
+    path = domain_file(domain, "slashed")
+    out = tmp_path / "out"
+    assert main([command, "--domain", path, "--cutoff", "5e3",
+                 "--out", str(out)]) == (0 if command == "spectrum" else 10)
+    names = {"spectrum": ["a_b.spectrum"],
+             "classify": ["a_b_report.txt", "a_b_trace.txt"]}[command]
+    assert sorted(p.name for p in out.iterdir()) == names
+    if command == "spectrum":
+        assert read_spectrum(out / "a_b.spectrum").domain_label == "a/b"
+
+
+def test_classify_spectrum_with_a_slash_in_its_label(tmp_path):
+    spec = rectangle_spectrum(1.0, 1.0, 5.0e3)
+    spec.domain_label = "a/b"
+    path = tmp_path / "slashed.spectrum"
+    write_spectrum(spec, path)
+    out = tmp_path / "out"
+    assert main(["classify", "--spectrum", str(path), "--out", str(out)]) == 10
+    assert sorted(p.name for p in out.iterdir()) == ["a_b_report.txt",
+                                                      "a_b_trace.txt"]
+    assert read_trace(out / "a_b_trace.txt").cutoff == 5.0e3
+
+
 def test_plotdata_without_trace_exits_4(tmp_path):
     report = tmp_path / "x_report.txt"
     report.write_text("report_version: 1\n")
@@ -105,7 +146,9 @@ def plotdata(report, trace, out):
 @pytest.mark.parametrize("text", [
     "", "fit: [1, 2]\n", "report_version: 1\n", "fit: [\n",
     "# cutoff=100\nindex,eigenvalue,multiplicity_hint\n1,19.7,1\n",
-], ids=["empty", "fit-not-a-mapping", "no-fit", "not-yaml", "spectrum-file"])
+    "fit: {a_minus1: x, a_minus_half: 1, a0: 1, a_half: 1}\n",
+], ids=["empty", "fit-not-a-mapping", "no-fit", "not-yaml", "spectrum-file",
+        "coefficient-not-a-number"])
 def test_plotdata_on_a_report_without_a_fit_exits_4(tmp_path, classified_square,
                                                       text):
     report = tmp_path / "bad_report.txt"

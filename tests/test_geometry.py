@@ -275,6 +275,12 @@ class TestDomainFiles:
         with pytest.raises(DomainFileError, match="unknown keys"):
             load_domain(path)
 
+    def test_unparseable_file_rejected(self, tmp_path):
+        path = tmp_path / "bad.dom"
+        path.write_text("schema: 1\nloops: [\n")
+        with pytest.raises(DomainFileError, match="not parseable"):
+            load_domain(path)
+
     def test_wrong_schema_rejected(self, tmp_path):
         path = tmp_path / "bad.dom"
         path.write_text("schema: 2\nloops: []\n")
