@@ -71,10 +71,30 @@ def bisection_bessel_zero(nu, k, dps=25):
         raise AssertionError("unreachable")
 
 
-def production_jv(nu, x):
-    """The production evaluator ``_jv`` for one order nu over an array x."""
-    x = np.asarray(x, dtype=float)
-    return analytic_spectra._jv(np.full(x.shape, float(nu)), x, x, x)
+def ladder_jv(nu, x):
+    """Scalar copy of ``_jv`` in Python floats: J at the orders nu - m and
+    nu - m + 1 from ``jv``, then m - 1 recurrence steps, with the same
+    operations in the same order, so the same doubles."""
+    m = math.floor(nu)
+    base = nu - m
+    older, newer = float(jv(base, x)), float(jv(base + 1.0, x))
+    if m == 0:
+        return older
+    twice = 2.0 * base
+    for j in range(1, m):
+        older, newer = newer, (twice + 2 * j) / x * newer - older
+    return newer
+
+
+def recording_ladder(points):
+    """An evaluator for ``scan_brentq_zeros`` on ``ladder_jv`` that appends
+    every (nu, x, J_nu(x)) it computes to ``points``."""
+    def j(nu, x):
+        xs = x.tolist()
+        vals = [ladder_jv(nu, v) for v in xs]
+        points.extend((nu, v, f) for v, f in zip(xs, vals))
+        return np.array(vals)
+    return j
 
 
 def scan_brentq_zeros(nu, upper, j):
@@ -140,10 +160,16 @@ class TestBesselZeros:
     def test_all_orders_equal_per_order_scan_and_brentq(self):
         # The lane port makes the same floating point operations as scalar
         # brentq on the same evaluator, so the zeros are the same doubles.
+        # The scalar reference runs on ladder_jv, and _jv must give the same
+        # doubles at every point that reference evaluated.
+        points = []
+        j = recording_ladder(points)
         for orders, upper in zero_finder_cases():
             expect = np.concatenate([np.empty(0)] + [
-                scan_brentq_zeros(nu, upper, production_jv) for nu in orders])
+                scan_brentq_zeros(nu, upper, j) for nu in orders])
             assert np.array_equal(bessel_j_zeros(orders, upper), expect)
+        nu, x, ref = np.array(points).T
+        assert np.array_equal(analytic_spectra._jv(nu, x, x, x), ref)
 
     def test_zeros_agree_with_scipy_jv_scan_and_brentq(self):
         for orders, upper in zero_finder_cases():

@@ -193,8 +193,10 @@ def delaunay_calls(monkeypatch):
 class TestRetriangulationTrigger:
     def test_fewer_delaunay_calls(self, delaunay_calls):
         mesh = mesh_domain(gww_a(), 0.07)
-        # 40 relaxation iterations and the final triangulation were 41 calls
-        assert 2 < len(delaunay_calls) <= 25
+        # 40 relaxation iterations and the final triangulation were 41 calls;
+        # a 0.1 local-size trigger made 21 of them
+        assert 2 < len(delaunay_calls) <= 12
+        assert mesh.meta["delaunay_calls"] == len(delaunay_calls)
         # the final call triangulates the relaxed points
         assert np.array_equal(delaunay_calls[-1], mesh.vertices)
         assert mesh.meta["min_angle_deg"] >= 20.0
@@ -202,8 +204,8 @@ class TestRetriangulationTrigger:
     def test_first_and_final_calls_always_happen(self, delaunay_calls,
                                                  monkeypatch):
         monkeypatch.setattr(fem_solver, "RETRI_MOVE", math.inf)
-        mesh_domain(gww_a(), 0.07)
-        assert len(delaunay_calls) == 2
+        mesh = mesh_domain(gww_a(), 0.07)
+        assert len(delaunay_calls) == mesh.meta["delaunay_calls"] == 2
         assert not np.array_equal(delaunay_calls[0], delaunay_calls[1])
 
 
@@ -226,6 +228,12 @@ class TestIsospectralPairMeshes:
         mesh = mesh_domain(dom, 0.07)
         _check_conformity(mesh)
         assert_fills_domain(mesh, dom.area())
+
+    def test_gww_a_at_verify_size(self):
+        # the size of verify's fem/isospectral-pair row, where a 0.1
+        # local-size retriangulation trigger left an 18.8 deg interior angle
+        dom = gww_a()
+        assert_fills_domain(mesh_domain(dom, 0.02), dom.area())
 
 
 def rigid_motion(index):
