@@ -8,7 +8,8 @@ window and an unweighted fit would see only the smallest t.
 
 ``TERMS`` is the one place the basis is defined: the fit's columns, the
 report's coefficients and the plotted model curve (``model``) all come
-from it.
+from it, and so does ``NEXT_TERM``, the column whose addition measures
+u_sys: the part of a0's error that the statistical sigma misses.
 """
 
 import math
@@ -33,15 +34,18 @@ FEM_FLOOR_SCALE = 1.0 / 3.0
 
 # The expansion's basis in report order: term name -> column as a function
 # of t.  The blind fit uses BLIND_TERMS; a_pollution (1/t^2) models the
-# eigenvalue drift of discrete (FEM) spectra.
+# eigenvalue drift of discrete (FEM) spectra; NEXT_TERM only widens the
+# basis for u_sys and is never reported.
 TERMS = {
     "a_minus1": lambda t: 1.0 / t,
     "a_minus_half": lambda t: 1.0 / np.sqrt(t),
     "a0": np.ones_like,
     "a_half": np.sqrt,
+    "a_one": lambda t: t,
     "a_pollution": lambda t: 1.0 / t ** 2,
 }
 BLIND_TERMS = ("a_minus1", "a_minus_half", "a0", "a_half")
+NEXT_TERM = "a_one"
 
 
 def model(coef, t):
@@ -50,7 +54,7 @@ def model(coef, t):
 
 
 def choose_window(spectrum, kappa=DEFAULT_KAPPA):
-    """Fit window [kappa/cutoff, t_max] with a geometric grid.
+    """The fit window's geometric grid from t_min = kappa/cutoff to t_max.
 
     t_min = kappa/cutoff keeps the truncation tail below ~e^-kappa of h.
     t_max = min(0.5/lambda_1, 0.05 * |Omega|_est) stops before the trace is
@@ -59,7 +63,7 @@ def choose_window(spectrum, kappa=DEFAULT_KAPPA):
     constant term is at least ~1e-3 of h(t_max).  Both bounds scale like
     length^2, so dilating the domain rescales the window and leaves every
     dimensionless fit output unchanged.  The grid has DEFAULT_GRID_POINTS
-    points.
+    points; its ends are t_min and t_max.
 
     Discrete (FEM) spectra carry a usable-window floor ``t_min_bias`` below
     which their systematic eigenvalue drift dominates the trace (see
@@ -93,18 +97,19 @@ def choose_window(spectrum, kappa=DEFAULT_KAPPA):
             f"must end by t_max={t_max:g}; extend the spectrum (need cutoff "
             f">= {required:g})",
             required_cutoff=required)
-    grid = np.geomspace(t_min, t_max, DEFAULT_GRID_POINTS)
-    return t_min, t_max, grid
+    return np.geomspace(t_min, t_max, DEFAULT_GRID_POINTS)
 
 
 @dataclass
 class AsymptoticFit:
     """Fitted coefficients and their statistical uncertainties, keyed by
     term name in TERMS order (pinned terms have sigma 0), with the window
-    statistics."""
+    statistics.  ``u_sys`` = |a0 fitted with NEXT_TERM added - a0|, on the
+    same samples."""
 
     coef: dict
     sigma: dict
+    u_sys: float
     t_min: float
     t_max: float
     n_points: int
@@ -158,6 +163,8 @@ def fit_expansion(samples, mode="blind", area=None, perimeter=None,
     callers enable it for source == "fem", whose window floor choose_window
     relaxes on that understanding.  Exact spectra leave its coefficient at
     noise level.
+
+    Both modes refit the same samples with NEXT_TERM added, for ``u_sys``.
     """
     t = samples.grid
     h = samples.values
@@ -183,12 +190,16 @@ def fit_expansion(samples, mode="blind", area=None, perimeter=None,
     names = [n for n in BLIND_TERMS if n not in pinned]
     if pollution_term:
         names.append("a_pollution")
-    values, sigmas, max_res, cond = _weighted_lstsq(
-        [TERMS[n](t) for n in names], target, weights)
+    columns = [TERMS[n](t) for n in names]
+    values, sigmas, max_res, cond = _weighted_lstsq(columns, target, weights)
+    wider, _, _, _ = _weighted_lstsq(columns + [TERMS[NEXT_TERM](t)], target,
+                                     weights)
+    k = names.index("a0")
     # The pinned terms lead BLIND_TERMS, so both dicts are in TERMS order.
     return AsymptoticFit(
         coef={**pinned, **dict(zip(names, values))},
         sigma={**dict.fromkeys(pinned, 0.0), **dict(zip(names, sigmas))},
+        u_sys=float(abs(wider[k] - values[k])),
         t_min=float(t[0]), t_max=float(t[-1]), n_points=len(t),
         max_rel_residual=max_res, condition=cond, mode=mode)
 

@@ -265,8 +265,7 @@ def build_corpus(seed=0, inject_a0_bias=0.0, fem=True):
             verdict = reference_verdict(ref)
             decision, _ = decide_from_estimate(
                 verdict.a0_estimate + inject_a0_bias, verdict.uncertainty,
-                chi=verdict.chi, decision_z=verdict.decision_z,
-                robust=verdict.robust)
+                chi=verdict.chi, decision_z=verdict.decision_z)
             if ref.has_corners and decision != "has_corners":
                 wrong.append(f"{ref.label}:{decision}")
             if not ref.has_corners and decision == "has_corners":

@@ -246,10 +246,10 @@ def mesh_domain(domain, h, grading=0.5):
         points[free] += RELAX_STEP * force[free]
         escaped = np.nonzero(free)[0][~_loops_contain(poly_loops, points[free])]
         points[escaped] = prev[escaped]
-        max_move = np.max(np.linalg.norm(points[free] - prev[free], axis=1)) \
-            if free.any() else 0.0
-        if max_move < 5e-3 * h:
-            break
+    # Every mesh runs all RELAX_ITERS: the largest move of the last one is
+    # still 0.0066-0.044 h on the square, disk, L-shape and GWW drums.
+    max_move = np.max(np.linalg.norm(points[free] - prev[free], axis=1)) \
+        if free.any() else 0.0
 
     simplices = _triangulate(points, poly_loops)
     p = points[simplices]

@@ -33,14 +33,13 @@ def synthetic_samples(coeffs, t_grid, noise=None, rng=None):
 class TestChooseWindow:
     def test_t_min_is_kappa_over_cutoff(self):
         spec = rectangle_spectrum(1.0, 1.0, 2.0e5)
-        t_min, _, _ = choose_window(spec)
-        assert_allclose(t_min, 12.0 / 2.0e5, rtol=1e-15)
+        assert_allclose(choose_window(spec)[0], 12.0 / 2.0e5, rtol=1e-15)
 
     def test_larger_cutoff_never_increases_t_min(self):
         t_prev = math.inf
         for cutoff in [2e4, 1e5, 5e5]:
             spec = rectangle_spectrum(1.0, 1.0, cutoff)
-            t_min, _, _ = choose_window(spec)
+            t_min = choose_window(spec)[0]
             assert t_min <= t_prev
             t_prev = t_min
 
@@ -55,8 +54,7 @@ class TestChooseWindow:
         spec = rectangle_spectrum(1.0, 1.0, 2.0e4)
         fem = Spectrum(spec.eigenvalues, spec.cutoff, "fem",
                        area_hint=spec.area_hint, meta={"t_min_bias": 0.01})
-        t_min, _, _ = choose_window(fem)
-        assert_allclose(t_min, 0.01 / 3.0, rtol=1e-15)
+        assert_allclose(choose_window(fem)[0], 0.01 / 3.0, rtol=1e-15)
 
     def test_binding_drift_floor_asks_for_a_finer_mesh(self):
         spec = rectangle_spectrum(1.0, 1.0, 2.0e4)
@@ -68,10 +66,10 @@ class TestChooseWindow:
 
     def test_grid_is_geometric_with_sixty_points(self):
         spec = rectangle_spectrum(1.0, 1.0, 2.0e5)
-        t_min, t_max, grid = choose_window(spec)
+        grid = choose_window(spec)
         assert len(grid) == 60
-        assert_allclose(grid[0], t_min)
-        assert_allclose(grid[-1], t_max)
+        assert_allclose(grid[0], 12.0 / 2.0e5)
+        assert_allclose(grid[-1], 0.5 / spec.lambda1)
         ratios = grid[1:] / grid[:-1]
         assert_allclose(ratios, ratios[0], rtol=1e-10)
 
@@ -83,6 +81,21 @@ class TestExactRecovery:
         fit = fit_expansion(samples)
         got = [fit.coef[n] for n in BLIND_TERMS]
         assert_allclose(got, coeffs, rtol=1e-8)
+
+    def test_u_sys_is_the_a0_bias_of_a_missing_t_term(self):
+        # Samples the basis spans leave u_sys at rounding level; add a t
+        # term and the refit with NEXT_TERM recovers the exact a0, so u_sys
+        # equals the bias that term puts into the basis fit's a0.
+        coeffs = [0.0795775, -0.282095, 0.25, 0.1]
+        t = np.geomspace(1e-4, 2e-2, 60)
+        samples = synthetic_samples(coeffs, t)
+        assert fit_expansion(samples).u_sys <= 1e-8
+        fit = fit_expansion(TraceSamples(
+            grid=t, values=samples.values + 0.5 * t,
+            tail_bounds=samples.tail_bounds, cutoff=samples.cutoff))
+        bias = abs(fit.coef["a0"] - coeffs[2])
+        assert bias > 1e-4
+        assert_allclose(fit.u_sys, bias, rtol=1e-6)
 
     def test_random_coefficient_draws(self):
         # Coefficients drawn as if from real domains (area/perimeter driven)
@@ -106,7 +119,7 @@ class TestExactRecovery:
 
     def test_noise_stability_on_square_pipeline(self):
         spec = rectangle_spectrum(1.0, 1.0, 2.0e5)
-        _, _, grid = choose_window(spec)
+        grid = choose_window(spec)
         samples = evaluate_trace(spec, grid)
         fit0 = fit_expansion(samples)
         rng = np.random.default_rng(3)
@@ -121,7 +134,7 @@ class TestExactRecovery:
 class TestAssistedMode:
     def test_pins_area_and_perimeter(self):
         spec = rectangle_spectrum(1.0, 1.0, 2.0e5)
-        _, _, grid = choose_window(spec)
+        grid = choose_window(spec)
         samples = evaluate_trace(spec, grid)
         fit = fit_expansion(samples, mode="assisted", area=1.0, perimeter=4.0)
         assert fit.mode == "assisted"
@@ -173,26 +186,26 @@ class TestFitGuards:
 class TestConsistencyChecks:
     def test_square_area_perimeter_from_fit(self):
         spec = rectangle_spectrum(1.0, 1.0, 2.0e5)
-        _, _, grid = choose_window(spec)
+        grid = choose_window(spec)
         fit = fit_expansion(evaluate_trace(spec, grid))
         assert abs(implied_area(fit) - 1.0) < 0.005
         assert abs(implied_perimeter(fit) - 4.0) < 0.04
 
     def test_window_drift_below_coefficient_tolerance(self):
-        # Halving t_max moves a0 by well under the 0.01 recovery tolerance;
-        # the classifier folds this drift into its operative uncertainty.
+        # Halving t_max moves a0 by well under the 0.01 recovery tolerance,
+        # so the end of the window is not what a verdict hinges on.
         spec = rectangle_spectrum(1.0, 1.0, 2.0e5)
-        t_min, t_max, grid = choose_window(spec)
+        grid = choose_window(spec)
         fit = fit_expansion(evaluate_trace(spec, grid))
         fit_half = fit_expansion(
-            evaluate_trace(spec, np.geomspace(t_min, t_max / 2, 48)))
+            evaluate_trace(spec, np.geomspace(grid[0], grid[-1] / 2, 48)))
         assert abs(fit_half.coef["a0"] - fit.coef["a0"]) <= 1e-3
 
 
 class TestFitReport:
     def _square_fit(self):
         spec = rectangle_spectrum(1.0, 1.0, 2.0e4)
-        _, _, grid = choose_window(spec)
+        grid = choose_window(spec)
         return fit_expansion(evaluate_trace(spec, grid))
 
     def test_roundtrip_lossless(self):

@@ -49,8 +49,9 @@ def fem_square_spectrum(tmp_path, t_min_bias, drift=0.0):
 
 def test_smooth_exits_0(tmp_path, domain_file):
     disk = domain_file(make_disk(), "disk")
-    assert main(["classify", "--domain", disk, "--cutoff", "2e4",
-                 "--out", str(tmp_path)]) == 0
+    for cutoff in ("5e3", "2e4"):
+        assert main(["classify", "--domain", disk, "--cutoff", cutoff,
+                     "--out", str(tmp_path)]) == 0
 
 
 def test_has_corners_exits_10(tmp_path, domain_file):
@@ -60,9 +61,11 @@ def test_has_corners_exits_10(tmp_path, domain_file):
 
 
 def test_indeterminate_exits_20(tmp_path, domain_file):
+    # The disk's a0 sits 1.03 uncertainties below 1/6 here: outside a
+    # +-0.5 u band, and not above it.
     disk = domain_file(make_disk(), "disk")
-    assert main(["classify", "--domain", disk, "--cutoff", "5e3",
-                 "--out", str(tmp_path)]) == 20
+    assert main(["classify", "--domain", disk, "--cutoff", "2e4",
+                 "--decision-z", "0.5", "--out", str(tmp_path)]) == 20
 
 
 def test_insufficient_spectrum_exits_3_with_cutoff_hint(tmp_path, domain_file,

@@ -20,21 +20,25 @@ def test_each_reference_spectrum_is_computed_once_per_run(monkeypatch):
 
 
 def test_analytic_fits_are_shared_between_checks(monkeypatch):
-    from drumspec import classifier
+    from drumspec import asymptotic_fit, classifier, heat_trace
 
-    fits = Counter()
-    original = classifier.fit_expansion
+    calls = Counter()
 
-    def counting_fit_expansion(samples, *args, **kwargs):
-        fits["calls"] += 1
-        return original(samples, *args, **kwargs)
+    def counting(name, original):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
 
-    monkeypatch.setattr(classifier, "fit_expansion", counting_fit_expansion)
-    monkeypatch.setattr("drumspec.asymptotic_fit.fit_expansion",
-                        counting_fit_expansion)
+    for name, module in (("evaluate_trace", heat_trace),
+                         ("fit_expansion", asymptotic_fit)):
+        wrapper = counting(name, getattr(module, name))
+        monkeypatch.setattr(module, name, wrapper)
+        monkeypatch.setattr(classifier, name, wrapper)
     checks = dict(corpus.build_corpus(fem=False))
     checks["fit/analytic-a0-recovery"]()
     checks["classifier/corpus"]()
     analytic = [ref for ref in corpus.REFERENCE_DOMAINS if ref.analytic]
-    # one blind fit and one robustness-probe refit per verdict, nothing more
-    assert fits["calls"] == 2 * len(analytic)
+    # one trace and one fit per verdict, shared by both checks
+    assert calls == Counter(evaluate_trace=len(analytic),
+                            fit_expansion=len(analytic))
