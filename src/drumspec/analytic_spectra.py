@@ -50,16 +50,6 @@ class Spectrum:
     def lambda1(self):
         return float(self.eigenvalues[0])
 
-    def scaled(self, s):
-        """Spectrum of the domain dilated by factor s (eigenvalues / s^2)."""
-        return Spectrum(self.eigenvalues / s ** 2, self.cutoff / s ** 2,
-                        self.source, domain_label=f"{self.domain_label}-scaled-{s}",
-                        area_hint=None if self.area_hint is None
-                        else self.area_hint * s ** 2,
-                        perimeter_hint=None if self.perimeter_hint is None
-                        else self.perimeter_hint * s,
-                        meta=dict(self.meta))
-
     def multiplicity_hints(self):
         """Sizes of clusters within MULTIPLICITY_RTOL of their first
         eigenvalue, one entry per eigenvalue."""

@@ -53,10 +53,11 @@ def model(coef, t):
     return sum(c * TERMS[name](t) for name, c in coef.items())
 
 
-def choose_window(spectrum, kappa=DEFAULT_KAPPA):
+def choose_window(spectrum):
     """The fit window's geometric grid from t_min = kappa/cutoff to t_max.
 
-    t_min = kappa/cutoff keeps the truncation tail below ~e^-kappa of h.
+    t_min = kappa/cutoff, kappa = DEFAULT_KAPPA, keeps the truncation tail
+    below ~e^-kappa of h.
     t_max = min(0.5/lambda_1, 0.05 * |Omega|_est) stops before the trace is
     reduced to a couple of decaying modes, with |Omega|_est = 4 pi K / cutoff
     unless the spectrum carries an exact area hint; it is floored so the
@@ -79,19 +80,19 @@ def choose_window(spectrum, kappa=DEFAULT_KAPPA):
     if area_est is None:
         area_est = 4.0 * PI * len(spectrum) / cutoff
     drift_floor = FEM_FLOOR_SCALE * float(spectrum.meta.get("t_min_bias", 0.0))
-    t_min = max(kappa / cutoff, drift_floor)
+    t_min = max(DEFAULT_KAPPA / cutoff, drift_floor)
     t_max = min(0.5 / lam1, 0.05 * area_est)
     # Keep the a0 term (nominal size 1/6) above 1e-3 * h(t_max) ~ 1e-3 * A/(4 pi t).
     t_floor = area_est * 6.0e-3 / (4.0 * PI)
     t_max = max(t_max, t_floor)
     if t_max < MIN_WINDOW_SPAN * t_min:
-        if drift_floor > kappa / cutoff:
+        if drift_floor > DEFAULT_KAPPA / cutoff:
             raise InsufficientSpectrumError(
                 f"the discretisation drift floor sets t_min={t_min:g} "
                 f"(t_min_bias/3), which leaves no window below "
                 f"t_max={t_max:g}; refine the mesh size h",
                 required_cutoff=math.inf)
-        required = MIN_WINDOW_SPAN * kappa / t_max
+        required = MIN_WINDOW_SPAN * DEFAULT_KAPPA / t_max
         raise InsufficientSpectrumError(
             f"spectrum cutoff {cutoff:g} gives t_min={t_min:g} but the window "
             f"must end by t_max={t_max:g}; extend the spectrum (need cutoff "
@@ -115,7 +116,7 @@ class AsymptoticFit:
     n_points: int
     max_rel_residual: float
     condition: float
-    mode: str = "blind"
+    mode: str
 
 
 def _weighted_lstsq(columns, target, weights):
@@ -146,16 +147,16 @@ def _weighted_lstsq(columns, target, weights):
     return coef, sig, float(np.max(np.abs(resid))), cond
 
 
-def fit_expansion(samples, mode="blind", area=None, perimeter=None,
-                  pollution_term=False):
+def fit_expansion(samples, area=None, perimeter=None, pollution_term=False):
     """Extract expansion coefficients from trace samples.
 
-    The columns are TERMS' functions of the sample grid.  Blind mode (the
-    classifier default: the spectrum is the only input) fits all of
-    BLIND_TERMS.  Assisted mode pins a_{-1} and a_{-1/2} to the supplied
-    exact area and perimeter and fits only the constant and sqrt(t) terms;
-    it exists for validation against known geometry.  Either mode needs at
-    least MIN_FIT_POINTS samples.
+    The columns are TERMS' functions of the sample grid.  Without geometry
+    the fit is blind (the classifier's case: the spectrum is the only input)
+    and fits all of BLIND_TERMS.  Given the exact ``area`` and ``perimeter``
+    it is assisted: a_{-1} and a_{-1/2} are pinned to them and only the
+    constant and sqrt(t) terms are fitted, for validation against known
+    geometry; one of the two alone is an error.  Either mode needs at least
+    MIN_FIT_POINTS samples.
 
     ``pollution_term`` adds the a_pollution (1/t^2) column modelling the
     systematic upward eigenvalue drift of discrete (finite element)
@@ -177,16 +178,15 @@ def fit_expansion(samples, mode="blind", area=None, perimeter=None,
             "raise the spectrum cutoff or shrink t_min")
     weights = 1.0 / h
 
-    target, pinned = h, {}
-    if mode == "assisted":
-        if area is None or perimeter is None:
-            raise FitError("assisted mode needs area and perimeter")
+    if (area is None) != (perimeter is None):
+        raise FitError("an assisted fit needs both area and perimeter")
+    target, pinned, mode = h, {}, "blind"
+    if area is not None:
+        mode = "assisted"
         pinned_m1 = area / (4.0 * PI)
         pinned_mh = -perimeter / (8.0 * math.sqrt(PI))
         target = h - pinned_m1 / t - pinned_mh / np.sqrt(t)
         pinned = {"a_minus1": pinned_m1, "a_minus_half": pinned_mh}
-    elif mode != "blind":
-        raise FitError(f"unknown fit mode {mode!r}")
     names = [n for n in BLIND_TERMS if n not in pinned]
     if pollution_term:
         names.append("a_pollution")

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .asymptotic_fit import DEFAULT_KAPPA, choose_window, fit_expansion
+from .asymptotic_fit import choose_window, fit_expansion
 from .heat_trace import evaluate_trace
 
 DEFAULT_DECISION_Z = 3.0
@@ -97,8 +97,7 @@ class Verdict:
         }
 
 
-def classify(spectrum, chi=1, decision_z=DEFAULT_DECISION_Z,
-             kappa=DEFAULT_KAPPA):
+def classify(spectrum, chi=1, decision_z=DEFAULT_DECISION_Z):
     """Blind pipeline: one window, one trace, one fit, one-sided decision.
 
     has_corners requires margin = (a0_hat - chi/6) / u > decision_z, with
@@ -109,11 +108,10 @@ def classify(spectrum, chi=1, decision_z=DEFAULT_DECISION_Z,
         raise ValueError("chi must be an integer")
     if chi > 1:
         raise ValueError(f"chi={chi} is invalid: planar domains have chi <= 1")
-    samples = evaluate_trace(spectrum, choose_window(spectrum, kappa=kappa))
+    samples = evaluate_trace(spectrum, choose_window(spectrum))
     # Discrete spectra get the 1/t^2 column that models their systematic
     # eigenvalue drift; exact spectra do not need it.
-    fit = fit_expansion(samples, mode="blind",
-                        pollution_term=spectrum.source == "fem")
+    fit = fit_expansion(samples, pollution_term=spectrum.source == "fem")
     a0 = fit.coef["a0"]
     uncertainty = max(fit.sigma["a0"], fit.u_sys)
     decision, margin = decide_from_estimate(a0, uncertainty, chi=chi,

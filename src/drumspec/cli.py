@@ -11,7 +11,8 @@ pipelines can branch on them:
     4   missing input artifacts (plotdata)
     10  classify: has corners
     20  classify: indeterminate
-    1   any other failure (including verify corpus failures)
+    1   any other failure, including verify corpus failures and usage
+        errors (unknown options, bad option values)
 
 Outputs embed the tool version and input digests; nothing in a report
 depends on wall-clock time, so identical configurations reproduce
@@ -24,7 +25,6 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .asymptotic_fit import DEFAULT_KAPPA
 from .classifier import DEFAULT_DECISION_Z
 from .errors import (
     DomainFileError,
@@ -59,8 +59,17 @@ def _file_stem(label):
     return label
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors exit EXIT_FAILURE, since 2
+    means an invalid domain file here."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_FAILURE, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="drumspec",
         description="Dirichlet spectra, heat-trace asymptotics, and "
                     "spectral corner detection for planar domains.")
@@ -74,8 +83,6 @@ def _build_parser():
     job.add_argument("--count", type=int, default=200,
                      help="mode count for the FEM fallback")
     job.add_argument("--h", type=float, default=0.02, help="FEM target size")
-    job.add_argument("--grading", type=float, default=0.5,
-                     help="mesh grading exponent at reentrant corners")
     job.add_argument("--out", default=".")
     job.add_argument("--seed", type=int, default=0)
 
@@ -88,8 +95,6 @@ def _build_parser():
     cl.add_argument("--spectrum", default="", help="spectrum file")
     cl.add_argument("--domain", default="", help="domain file (computed if "
                     "no spectrum is given)")
-    cl.add_argument("--kappa", type=float, default=DEFAULT_KAPPA,
-                    help="t_min = kappa / cutoff")
     cl.add_argument("--chi", type=int, default=1,
                     help="assumed Euler characteristic")
     cl.add_argument("--decision-z", type=float, default=DEFAULT_DECISION_Z)
@@ -101,8 +106,6 @@ def _build_parser():
     vf.add_argument("--out", default=".")
     vf.add_argument("--skip-fem", action="store_true",
                     help="skip the slow finite-element rows")
-    vf.add_argument("--inject-a0-bias", type=float, default=0.0,
-                    help="fault injection: shift classifier a0 estimates")
 
     pd = sub.add_parser("plotdata", help="emit plotting tables")
     pd.add_argument("--report", default="", help="fit/verdict report file")
@@ -120,8 +123,7 @@ def _domain_and_spectrum(cfg):
     domain = load_domain(cfg.domain)
     spec = spectrum_for_domain(domain, cfg.cutoff)
     if spec is None:
-        spec = fem_spectrum(domain, cfg.h, cfg.count,
-                            grading=cfg.grading, seed=cfg.seed)
+        spec = fem_spectrum(domain, cfg.h, cfg.count, seed=cfg.seed)
     return domain, spec
 
 
@@ -165,8 +167,7 @@ def cmd_classify(cfg):
         return EXIT_FAILURE
     inputs["eigenvalue_digest"] = digest_array(spec.eigenvalues)
 
-    verdict = classify(spec, chi=cfg.chi, decision_z=cfg.decision_z,
-                       kappa=cfg.kappa)
+    verdict = classify(spec, chi=cfg.chi, decision_z=cfg.decision_z)
     report = fit_report(verdict.fit, theoretical=theoretical, inputs=inputs,
                         verdict=verdict.to_dict())
     out, stem = _outdir(cfg), _file_stem(label)
@@ -186,7 +187,6 @@ def cmd_verify(cfg):
     from .reporting import write_report
 
     results = run_corpus(seed=cfg.seed, name_filter=cfg.name_filter,
-                         inject_a0_bias=cfg.inject_a0_bias,
                          fem=not cfg.skip_fem)
     if not results:
         print(f"no checks match filter {cfg.name_filter!r}", file=sys.stderr)

@@ -147,15 +147,10 @@ def _assert(cond, msg):
         raise AssertionError(msg)
 
 
-def build_corpus(seed=0, inject_a0_bias=0.0, fem=True):
-    """The bundled checks, as (name, callable) pairs.
-
-    ``inject_a0_bias`` shifts every classifier a0 estimate; it exists so the
-    harness itself can be tested (a nonzero bias must fail exactly the
-    classifier rows and nothing else).
-    """
+def build_corpus(seed=0, fem=True):
+    """The bundled checks, as (name, callable) pairs."""
     from .asymptotic_fit import fit_expansion, implied_area, implied_perimeter
-    from .classifier import classify, decide_from_estimate, f_corner
+    from .classifier import classify, f_corner
     from .heat_trace import theoretical_coefficients
 
     checks = []
@@ -262,13 +257,8 @@ def build_corpus(seed=0, inject_a0_bias=0.0, fem=True):
         for ref in REFERENCE_DOMAINS:
             if not ref.analytic and not fem:
                 continue
-            verdict = reference_verdict(ref)
-            decision, _ = decide_from_estimate(
-                verdict.a0_estimate + inject_a0_bias, verdict.uncertainty,
-                chi=verdict.chi, decision_z=verdict.decision_z)
-            if ref.has_corners and decision != "has_corners":
-                wrong.append(f"{ref.label}:{decision}")
-            if not ref.has_corners and decision == "has_corners":
+            decision = reference_verdict(ref).decision
+            if (decision == "has_corners") != ref.has_corners:
                 wrong.append(f"{ref.label}:{decision}")
         _assert(not wrong, "wrong verdicts: " + ", ".join(wrong))
         n = sum(1 for r in REFERENCE_DOMAINS if r.analytic or fem)
@@ -279,10 +269,9 @@ def build_corpus(seed=0, inject_a0_bias=0.0, fem=True):
     if fem:
         def lshape_assisted():
             ref = next(r for r in REFERENCE_DOMAINS if r.label == "lshape")
-            # classify uses the default kappa, so its trace is on the
-            # window this fit wants.
+            # The assisted fit reuses the trace of the L-shape's verdict.
             dom = ref.build()
-            fit = fit_expansion(reference_verdict(ref).samples, mode="assisted",
+            fit = fit_expansion(reference_verdict(ref).samples,
                                 area=dom.area(), perimeter=dom.perimeter(),
                                 pollution_term=True)
             err = abs(fit.coef["a0"] - ref.a0)
@@ -307,8 +296,8 @@ def build_corpus(seed=0, inject_a0_bias=0.0, fem=True):
     return checks
 
 
-def run_corpus(seed=0, name_filter="", inject_a0_bias=0.0, fem=True):
-    checks = build_corpus(seed=seed, inject_a0_bias=inject_a0_bias, fem=fem)
+def run_corpus(seed=0, name_filter="", fem=True):
+    checks = build_corpus(seed=seed, fem=fem)
     results = []
     for name, fn in checks:
         if name_filter and name_filter not in name:

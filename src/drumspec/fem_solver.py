@@ -2,7 +2,8 @@
 
 Meshing is a force-equilibrium Delaunay scheme: boundary points are walked
 at the local target size and held fixed, interior points start on a hex
-lattice (plus radial fans inside reentrant-corner grading zones) and relax
+lattice (plus radial fans inside reentrant-corner grading zones, where the
+target size falls like r^GRADING towards the corner) and relax
 under repulsion-only edge springs.  The springs follow the edges of the
 last Delaunay triangulation, which is redone only once some interior point
 has moved RETRI_MOVE = 0.3 local target sizes from where it saw the point
@@ -45,6 +46,8 @@ from .geometry import _loops_contain, detect_corners
 
 PI = math.pi
 
+# Exponent of the target size h * (r/R0)^GRADING near reentrant corners.
+GRADING = 0.5
 RELAX_ITERS = 40
 RELAX_STEP = 0.2
 # Retriangulate once a point moves this many local sizes.  0.3 rather
@@ -66,7 +69,6 @@ class Mesh:
     triangles: np.ndarray         # (M, 3) CCW
     is_boundary: np.ndarray       # (N,) bool
     h: float
-    grading: float
     chord_error: float
     domain_label: str = ""
     area: float = 0.0             # of the continuous domain
@@ -94,9 +96,9 @@ class DiscreteOperatorPair:
     mesh: Mesh
 
 
-def _size_function(h, diam, reentrant_vertices, grading):
+def _size_function(h, diam, reentrant_vertices):
     """Target edge length field: h away from reentrant corners, graded like
-    h * (r/R0)^grading inside a zone of radius R0 = diam/4 around each."""
+    h * (r/R0)^GRADING inside a zone of radius R0 = diam/4 around each."""
     zone = diam / 4.0
     floor_ratio = h / diam
     verts = np.asarray(reentrant_vertices, dtype=float).reshape(-1, 2)
@@ -107,7 +109,7 @@ def _size_function(h, diam, reentrant_vertices, grading):
         for v in verts:
             r = np.linalg.norm(pts - v[None, :], axis=1)
             ratio = np.clip(r / zone, floor_ratio, 1.0)
-            s = np.minimum(s, h * ratio ** grading)
+            s = np.minimum(s, h * ratio ** GRADING)
         return s
 
     return size
@@ -126,10 +128,10 @@ def _hex_lattice(bbox_lo, bbox_hi, spacing):
     return np.concatenate(rows, axis=0)
 
 
-def _corner_fans(domain, corners, size_fn, h, diam, grading):
+def _corner_fans(domain, corners, size_fn, h, diam):
     """Deterministic graded point fans inside reentrant-corner zones."""
     zone = diam / 4.0
-    size_min = h * (h / diam) ** grading
+    size_min = h * (h / diam) ** GRADING
     fans = []
     for c in corners:
         if c.theta <= PI:
@@ -151,8 +153,9 @@ def _corner_fans(domain, corners, size_fn, h, diam, grading):
     return np.concatenate(fans, axis=0)
 
 
-def mesh_domain(domain, h, grading=0.5):
-    """Triangulate a DomainSpec with target size h and corner grading.
+def mesh_domain(domain, h):
+    """Triangulate a DomainSpec with target size h, graded towards reentrant
+    corners.
 
     Raises MeshError when the requested size cannot resolve the geometry
     (e.g. a segment shorter than a couple of steps), naming the offender.
@@ -164,7 +167,7 @@ def mesh_domain(domain, h, grading=0.5):
         raise MeshError(f"h={h:g} too coarse for a domain of diameter {diam:g}")
     corners = detect_corners(domain)
     reentrant = [c.vertex for c in corners if c.theta > PI]
-    size_fn = _size_function(h, diam, reentrant, grading)
+    size_fn = _size_function(h, diam, reentrant)
     sagitta = h * h / diam
 
     def spacing_scalar(p):
@@ -195,17 +198,19 @@ def mesh_domain(domain, h, grading=0.5):
     lo = boundary.min(axis=0)
     hi = boundary.max(axis=0)
     lattice = _hex_lattice(lo, hi, h)
-    fans = _corner_fans(domain, corners, size_fn, h, diam, grading)
+    fans = _corner_fans(domain, corners, size_fn, h, diam)
     tree = cKDTree(boundary)
 
-    def _filter_seeds(pts, boundary_clearance=0.55):
+    def _filter_seeds(pts):
+        """The seeds inside the domain and over 0.55 local sizes from its
+        boundary."""
         if not len(pts):
             return np.empty((0, 2))
         pts = pts[_loops_contain(poly_loops, pts)]
         if not len(pts):
             return np.empty((0, 2))
         d_bnd, _ = tree.query(pts)
-        return pts[d_bnd > boundary_clearance * size_fn(pts)]
+        return pts[d_bnd > 0.55 * size_fn(pts)]
 
     # Lattice points inside grading zones are dropped: the fans own them.
     if len(lattice):
@@ -283,7 +288,7 @@ def mesh_domain(domain, h, grading=0.5):
         raise MeshError("degenerate triangle produced; decrease h")
 
     mesh = Mesh(vertices=vertices, triangles=triangles, is_boundary=is_boundary,
-                h=h, grading=grading, chord_error=sagitta,
+                h=h, chord_error=sagitta,
                 domain_label=domain.label, area=domain.area(),
                 perimeter=domain.perimeter(), boundary_loops=loops_idx,
                 meta={"min_angle_deg": _min_angles_deg(vertices, triangles).min(),
@@ -550,7 +555,7 @@ def solve_lowest(ops, count, seed=0):
         trusted, cutoff=float(trusted[-1]), source="fem",
         domain_label=mesh.domain_label,
         area_hint=mesh.area, perimeter_hint=mesh.perimeter,
-        meta={"h": mesh.h, "grading": mesh.grading,
+        meta={"h": mesh.h, "grading": GRADING,
               "chord_error": mesh.chord_error,
               "computed_modes": count, "trusted_modes": n_ok,
               "slices": slices, "inertia_shift": lo, "inertia_count": below_lo,
@@ -560,8 +565,8 @@ def solve_lowest(ops, count, seed=0):
               "t_min_bias": t_min_bias})
 
 
-def fem_spectrum(domain, h, count, grading=0.5, seed=0):
+def fem_spectrum(domain, h, count, seed=0):
     """Convenience pipeline: mesh, assemble, solve."""
-    mesh = mesh_domain(domain, h, grading=grading)
+    mesh = mesh_domain(domain, h)
     ops = assemble(mesh)
     return solve_lowest(ops, count, seed=seed)

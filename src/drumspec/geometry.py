@@ -62,8 +62,9 @@ def _wrap_pi(angle):
 _GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(10)
 
 
-def _adaptive_gauss(vec_integrand, tol=QUAD_TOL):
-    """Composite Gauss-Legendre on [0, 1], doubling panels to convergence.
+def _adaptive_gauss(vec_integrand):
+    """Composite Gauss-Legendre on [0, 1], doubling panels until two
+    estimates agree to QUAD_TOL.
 
     Handles piecewise-polynomial integrands (splines) without subdivision
     warnings; the integrand must accept a parameter array.
@@ -77,7 +78,7 @@ def _adaptive_gauss(vec_integrand, tol=QUAD_TOL):
         u = (mid[:, None] + half * _GAUSS_NODES[None, :]).ravel()
         w = np.tile(half * _GAUSS_WEIGHTS, n)
         val = float(vec_integrand(u) @ w)
-        if prev is not None and abs(val - prev) <= tol * max(1.0, abs(val)):
+        if prev is not None and abs(val - prev) <= QUAD_TOL * max(1.0, abs(val)):
             return val
         prev = val
         n *= 2
@@ -115,14 +116,11 @@ class LineSegment:
         u = np.linspace(0.0, 1.0, n + 1)
         return self.start[None, :] + u[:, None] * (self.end - self.start)[None, :]
 
-    def walk(self, spacing_fn, sagitta=None):
+    def walk(self, spacing_fn, sagitta):
         return _walk_by_spacing(self, spacing_fn)
 
     def point_at(self, u):
         return self.start + u * (self.end - self.start)
-
-    def transformed(self, rot, shift):
-        return LineSegment(rot @ self.start + shift, rot @ self.end + shift)
 
     def to_dict(self):
         return {
@@ -200,27 +198,14 @@ class ArcSegment:
             [np.cos(alpha), np.sin(alpha)], axis=1
         )
 
-    def walk(self, spacing_fn, sagitta=None):
-        cap = None
-        if sagitta is not None:
-            # Chord of length c on a circle of radius R has sagitta c^2/(8R).
-            cap = 2.0 * math.sqrt(2.0 * self.radius * sagitta)
+    def walk(self, spacing_fn, sagitta):
+        # Chord of length c on a circle of radius R has sagitta c^2/(8R).
+        cap = 2.0 * math.sqrt(2.0 * self.radius * sagitta)
         return _walk_by_spacing(self, spacing_fn, step_cap=cap)
 
     def point_at(self, u):
         alpha = self.angle0 + self.sweep * u
         return self.center + self.radius * np.array([math.cos(alpha), math.sin(alpha)])
-
-    def transformed(self, rot, shift):
-        signed = self.radius if self.ccw else -self.radius
-        if np.linalg.det(rot) < 0:
-            signed = -signed
-        return ArcSegment(
-            rot @ self.start + shift,
-            rot @ self.end + shift,
-            rot @ self.center + shift,
-            signed,
-        )
 
     def to_dict(self):
         return {
@@ -295,30 +280,17 @@ class CurveSegment:
     def sample(self, n):
         return np.asarray(self.fun(np.linspace(0.0, 1.0, n + 1)), dtype=float)
 
-    def walk(self, spacing_fn, sagitta=None):
-        cap = None
-        if sagitta is not None:
-            u = np.linspace(0.0, 1.0, 65)
-            d, dd = self.dfun(u), self.d2fun(u)
-            speed2 = np.einsum("ij,ij->i", d, d)
-            kmax = np.max(np.abs(d[:, 0] * dd[:, 1] - d[:, 1] * dd[:, 0])
-                          / np.maximum(speed2, 1e-30) ** 1.5)
-            if kmax > 1e-12:
-                cap = 2.0 * math.sqrt(2.0 * sagitta / kmax)
+    def walk(self, spacing_fn, sagitta):
+        u = np.linspace(0.0, 1.0, 65)
+        d, dd = self.dfun(u), self.d2fun(u)
+        speed2 = np.einsum("ij,ij->i", d, d)
+        kmax = np.max(np.abs(d[:, 0] * dd[:, 1] - d[:, 1] * dd[:, 0])
+                      / np.maximum(speed2, 1e-30) ** 1.5)
+        cap = 2.0 * math.sqrt(2.0 * sagitta / kmax) if kmax > 1e-12 else None
         return _walk_by_spacing(self, spacing_fn, step_cap=cap)
 
     def point_at(self, u):
         return np.asarray(self.fun(np.atleast_1d(u))[0], dtype=float)
-
-    def transformed(self, rot, shift):
-        rot = np.asarray(rot, dtype=float)
-        shift = np.asarray(shift, dtype=float)
-        fun, dfun, d2fun = self.fun, self.dfun, self.d2fun
-        return CurveSegment(
-            lambda u: np.asarray(fun(u)) @ rot.T + shift,
-            lambda u: np.asarray(dfun(u)) @ rot.T,
-            lambda u: np.asarray(d2fun(u)) @ rot.T,
-        )
 
     def to_dict(self):
         pts = self._points if self._points is not None else self.sample(128)
@@ -422,8 +394,9 @@ class BoundaryLoop:
         return [self.segments[(j + 1) % len(self.segments)].start
                 for j in range(len(self.segments))]
 
-    def polyline(self, per_segment=64):
-        pieces = [s.sample(1 if s.kind == "line" else per_segment)[:-1]
+    def polyline(self):
+        """Closed polyline: line ends, and 64 chords per curved segment."""
+        pieces = [s.sample(1 if s.kind == "line" else 64)[:-1]
                   for s in self.segments]
         return np.concatenate(pieces, axis=0)
 
@@ -508,7 +481,7 @@ class DomainSpec:
                 raise InvalidDomainError(f"hole loop {i} must be clockwise")
 
         # Simplicity and containment are checked on sampled polylines.
-        polys = [lp.polyline(64) for lp in self.loops]
+        polys = [lp.polyline() for lp in self.loops]
         for i, poly in enumerate(polys):
             if _polyline_self_intersects(poly):
                 raise InvalidDomainError(f"loop {i} self-intersects")
@@ -549,17 +522,6 @@ class DomainSpec:
         pts = self._polylines[0]
         lo, hi = pts.min(axis=0), pts.max(axis=0)
         return float(np.linalg.norm(hi - lo))
-
-    def contains(self, points):
-        """Containment test at polyline resolution (holes excluded)."""
-        return _loops_contain(self._polylines, points)
-
-    def transformed(self, rotation=None, shift=(0.0, 0.0), label=None):
-        rot = np.eye(2) if rotation is None else np.asarray(rotation, dtype=float)
-        shift = np.asarray(shift, dtype=float)
-        loops = [BoundaryLoop([s.transformed(rot, shift) for s in lp.segments])
-                 for lp in self.loops]
-        return DomainSpec(loops, label=self.label if label is None else label)
 
 
 def detect_corners(domain, angle_tol=DEFAULT_ANGLE_TOL):
@@ -637,7 +599,7 @@ def make_regular_polygon(n, circumradius=1.0):
     return make_polygon(verts, label=f"regular-{n}-gon")
 
 
-def _circle_arcs(center, radius, ccw=True, n_arcs=4, reverse=False):
+def _circle_arcs(center, radius, n_arcs=4, reverse=False):
     cx, cy = center
     ang = np.linspace(0.0, TWO_PI, n_arcs + 1)
     pts = [(cx + radius * math.cos(a), cy + radius * math.sin(a)) for a in ang]

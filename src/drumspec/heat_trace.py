@@ -55,7 +55,6 @@ class TheoreticalCoefficients:
     a0: float
     curvature_term: float          # (1/12 pi) * integral of k over smooth part
     corner_thetas: list = field(default_factory=list)
-    corner_terms: list = field(default_factory=list)
     chi: int = 1
 
     @property
@@ -91,7 +90,6 @@ def theoretical_coefficients(domain):
         a0=a0_euler,
         curvature_term=curv / (12.0 * PI),
         corner_thetas=thetas,
-        corner_terms=terms,
         chi=chi,
     )
 

@@ -456,12 +456,12 @@ class TestReferenceFamilyDetection:
         assert fam == "rectangle"
         assert_allclose(sorted(params), [1.0, 1.0])
 
-    def test_rotated_rectangle_still_matches(self):
+    def test_rotated_rectangle_still_matches(self, moved):
         ang = 0.3
         rot = np.array([[math.cos(ang), -math.sin(ang)],
                         [math.sin(ang), math.cos(ang)]])
         fam, params = match_reference_family(
-            make_rectangle(2.0, 1.0).transformed(rot, (0.5, 0.5)))
+            moved(make_rectangle(2.0, 1.0), rot, (0.5, 0.5)))
         assert fam == "rectangle"
         assert_allclose(sorted(params), [1.0, 2.0], rtol=1e-12)
 

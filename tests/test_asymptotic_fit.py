@@ -136,7 +136,7 @@ class TestAssistedMode:
         spec = rectangle_spectrum(1.0, 1.0, 2.0e5)
         grid = choose_window(spec)
         samples = evaluate_trace(spec, grid)
-        fit = fit_expansion(samples, mode="assisted", area=1.0, perimeter=4.0)
+        fit = fit_expansion(samples, area=1.0, perimeter=4.0)
         assert fit.mode == "assisted"
         assert_allclose(fit.coef["a_minus1"], 1.0 / (4 * PI), rtol=1e-15)
         assert_allclose(fit.coef["a_minus_half"], -0.5 / math.sqrt(PI),
@@ -147,8 +147,14 @@ class TestAssistedMode:
     def test_assisted_needs_geometry(self):
         samples = synthetic_samples([0.1, -0.3, 0.25, 0.0],
                                     np.geomspace(1e-3, 1e-2, 20))
-        with pytest.raises(FitError):
-            fit_expansion(samples, mode="assisted")
+        with pytest.raises(FitError, match="both area and perimeter"):
+            fit_expansion(samples, area=1.0)
+
+    def test_perimeter_alone_raises(self):
+        samples = synthetic_samples([0.1, -0.3, 0.25, 0.0],
+                                    np.geomspace(1e-3, 1e-2, 20))
+        with pytest.raises(FitError, match="both area and perimeter"):
+            fit_expansion(samples, perimeter=4.0)
 
 
 class TestFitGuards:
@@ -175,12 +181,6 @@ class TestFitGuards:
                                cutoff=math.inf)
         with pytest.raises(FitError, match="condition"):
             fit_expansion(samples)
-
-    def test_unknown_mode(self):
-        samples = synthetic_samples([0.1, -0.3, 0.25, 0.0],
-                                    np.geomspace(1e-3, 1e-2, 20))
-        with pytest.raises(FitError, match="mode"):
-            fit_expansion(samples, mode="bayes")
 
 
 class TestConsistencyChecks:

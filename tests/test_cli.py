@@ -1,5 +1,8 @@
 """Exit codes of the command-line interface, run in-process on cheap inputs."""
 
+import argparse
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -10,7 +13,8 @@ from drumspec.analytic_spectra import (
     rectangle_spectrum,
     write_spectrum,
 )
-from drumspec.cli import main
+from drumspec import classifier
+from drumspec.cli import _build_parser, main
 from drumspec.geometry import (
     make_disk,
     make_equilateral_triangle,
@@ -225,9 +229,68 @@ def test_plotdata_draws_the_reported_fit(tmp_path, source):
     assert np.all(np.abs(resid) <= (fit["max_rel_residual"] + 1e-12) * h)
 
 
-def test_injected_a0_bias_fails_exactly_the_classifier_row(tmp_path):
-    assert main(["verify", "--skip-fem", "--inject-a0-bias", "0.1",
-                 "--out", str(tmp_path)]) == 1
+def test_injected_a0_bias_fails_exactly_the_classifier_row(tmp_path,
+                                                           monkeypatch):
+    # Each verdict's a0 is shifted by 0.1 and decided again, so verify must
+    # fail exactly its classifier row, on the smooth disk.
+    classify = classifier.classify
+
+    def biased(spectrum):
+        verdict = classify(spectrum)
+        a0 = verdict.a0_estimate + 0.1
+        decision, margin = classifier.decide_from_estimate(
+            a0, verdict.uncertainty, chi=verdict.chi,
+            decision_z=verdict.decision_z)
+        return dataclasses.replace(verdict, decision=decision, a0_estimate=a0,
+                                   margin=margin)
+
+    monkeypatch.setattr(classifier, "classify", biased)
+    assert main(["verify", "--skip-fem", "--out", str(tmp_path)]) == 1
     failures = read_report(tmp_path / "verify_failures.txt")["failures"]
     assert [f["name"] for f in failures] == ["classifier/corpus"]
     assert failures[0]["detail"].endswith("wrong verdicts: disk:has_corners")
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "--bogus"],
+    ["classify", "--kappa", "12"],
+    ["spectrum", "--domain", "d.yaml", "--grading", "0.5"],
+    ["verify", "--inject-a0-bias", "0.1"],
+    ["classify", "--decision-z", "abc"],
+    ["frobnicate"],
+], ids=["unknown-option", "removed-kappa", "removed-grading",
+        "removed-inject-a0-bias", "bad-value", "unknown-command"])
+def test_usage_errors_exit_1(argv, capsys):
+    # 2 would read as "invalid domain file"
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["--version"],
+                                  ["classify", "--help"]],
+                         ids=["help", "version", "classify-help"])
+def test_help_and_version_exit_0(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+
+
+def test_options_of_each_subcommand():
+    # Adding or removing an option is an interface change: edit this list.
+    parser = _build_parser()
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction))
+    options = {name: sorted(opt for action in sp._actions
+                            for opt in action.option_strings)
+               for name, sp in sub.choices.items()}
+    job = ["--count", "--cutoff", "--h", "--out", "--seed"]
+    assert options == {
+        "spectrum": sorted(["-h", "--help", "--domain"] + job),
+        "classify": sorted(["-h", "--help", "--spectrum", "--domain", "--chi",
+                            "--decision-z"] + job),
+        "verify": sorted(["-h", "--help", "--filter", "--seed", "--out",
+                          "--skip-fem"]),
+        "plotdata": sorted(["-h", "--help", "--report", "--trace", "--out"]),
+    }

@@ -255,14 +255,14 @@ class TestRigidMotions:
         (make_lshape, 0.02, 5),   # angle 5.5699
         (gww_a, 0.1, 2),          # angle 3.7593
     ])
-    def test_moved_domain_meshes(self, domain, h, index):
+    def test_moved_domain_meshes(self, moved, domain, h, index):
         dom = domain()
-        mesh = mesh_domain(dom.transformed(*rigid_motion(index)), h)
+        mesh = mesh_domain(moved(dom, *rigid_motion(index)), h)
         assert_fills_domain(mesh, dom.area())
 
-    def test_moved_lshape_modes_match(self, lshape_mesh):
-        moved = make_lshape().transformed(*rigid_motion(5))
-        lam = fem_spectrum(moved, 0.02, 40).eigenvalues
+    def test_moved_lshape_modes_match(self, moved, lshape_mesh):
+        lam = fem_spectrum(moved(make_lshape(), *rigid_motion(5)),
+                           0.02, 40).eigenvalues
         ref = solve_lowest(assemble(lshape_mesh), 40).eigenvalues
         assert len(lam) == len(ref) == 40
         # the two meshes differ, so the modes agree to the discretisation
@@ -275,7 +275,7 @@ def hand_mesh(vertices, triangles, boundary_loops):
     is_boundary = np.zeros(len(vertices), dtype=bool)
     is_boundary[np.concatenate(boundary_loops)] = True
     return Mesh(vertices=vertices, triangles=np.asarray(triangles),
-                is_boundary=is_boundary, h=1.0, grading=0.0, chord_error=0.0,
+                is_boundary=is_boundary, h=1.0, chord_error=0.0,
                 boundary_loops=[np.asarray(loop) for loop in boundary_loops])
 
 
