@@ -10,7 +10,6 @@ from .geometry import (
     CurveSegment,
     DomainSpec,
     LineSegment,
-    detect_corners,
     gauss_bonnet_check,
     load_domain,
     save_domain,

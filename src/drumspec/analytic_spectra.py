@@ -50,6 +50,13 @@ class Spectrum:
     def lambda1(self):
         return float(self.eigenvalues[0])
 
+    @property
+    def area_estimate(self):
+        """The area hint, else the Weyl estimate 4 pi K / cutoff."""
+        if self.area_hint is not None:
+            return self.area_hint
+        return 4.0 * math.pi * len(self) / self.cutoff
+
     def multiplicity_hints(self):
         """Sizes of clusters within MULTIPLICITY_RTOL of their first
         eigenvalue, one entry per eigenvalue."""
@@ -412,16 +419,14 @@ def match_reference_family(domain):
     (theta, r)), ("equilateral", side).  Checks are exact up to 1e-12 on
     segment data; anything ambiguous falls through to None (FEM).
     """
-    from .geometry import detect_corners
-
     if len(domain.loops) != 1:
         return None
     segs = domain.loops[0].segments
     kinds = {s.kind for s in segs}
-    tol = 1e-12 * max(domain.diameter(), 1.0)
+    tol = 1e-12 * max(domain.diameter, 1.0)
+    corners = domain.corners
 
     if kinds == {"line"}:
-        corners = detect_corners(domain)
         if len(segs) == 4 and len(corners) == 4:
             lengths = [s.length() for s in segs]
             right = all(abs(c.theta - math.pi / 2) < 1e-12 for c in corners)
@@ -438,7 +443,7 @@ def match_reference_family(domain):
         centers = np.array([s.center for s in segs])
         radii = [s.radius for s in segs]
         if np.ptp(centers, axis=0).max() < tol and max(radii) - min(radii) < tol \
-                and not detect_corners(domain):
+                and not corners:
             return ("disk", radii[0])
         return None
 

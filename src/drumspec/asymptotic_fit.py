@@ -59,11 +59,11 @@ def choose_window(spectrum):
     t_min = kappa/cutoff, kappa = DEFAULT_KAPPA, keeps the truncation tail
     below ~e^-kappa of h.
     t_max = min(0.5/lambda_1, 0.05 * |Omega|_est) stops before the trace is
-    reduced to a couple of decaying modes, with |Omega|_est = 4 pi K / cutoff
-    unless the spectrum carries an exact area hint; it is floored so the
-    constant term is at least ~1e-3 of h(t_max).  Both bounds scale like
-    length^2, so dilating the domain rescales the window and leaves every
-    dimensionless fit output unchanged.  The grid has DEFAULT_GRID_POINTS
+    reduced to a couple of decaying modes, with |Omega|_est the spectrum's
+    ``area_estimate``; it is floored so the constant term is at least ~1e-3
+    of h(t_max).  Both bounds scale like length^2, so dilating the domain
+    rescales the window and leaves every dimensionless fit output
+    unchanged.  The grid has DEFAULT_GRID_POINTS
     points; its ends are t_min and t_max.
 
     Discrete (FEM) spectra carry a usable-window floor ``t_min_bias`` below
@@ -76,9 +76,7 @@ def choose_window(spectrum):
     """
     lam1 = spectrum.lambda1
     cutoff = spectrum.cutoff
-    area_est = spectrum.area_hint
-    if area_est is None:
-        area_est = 4.0 * PI * len(spectrum) / cutoff
+    area_est = spectrum.area_estimate
     drift_floor = FEM_FLOOR_SCALE * float(spectrum.meta.get("t_min_bias", 0.0))
     t_min = max(DEFAULT_KAPPA / cutoff, drift_floor)
     t_max = min(0.5 / lam1, 0.05 * area_est)

@@ -20,6 +20,7 @@ byte-identical files.
 """
 
 import argparse
+import math
 import os
 import sys
 from pathlib import Path
@@ -59,6 +60,19 @@ def _file_stem(label):
     return label
 
 
+def _bounded(kind, lo=-math.inf, hi=math.inf):
+    """An argparse type: a finite ``kind`` (int or float) in (lo, hi]."""
+    def parse(text):
+        value = kind(text)  # argparse reports a ValueError as a bad value
+        if not (math.isfinite(value) and lo < value <= hi):
+            raise argparse.ArgumentTypeError(
+                f"expected a finite {kind.__name__} in ({lo:g}, {hi:g}], "
+                f"got {text!r}")
+        return value
+    parse.__name__ = kind.__name__
+    return parse
+
+
 class _Parser(argparse.ArgumentParser):
     """An argument parser whose usage errors exit EXIT_FAILURE, since 2
     means an invalid domain file here."""
@@ -78,11 +92,12 @@ def _build_parser():
 
     # Options of every subcommand that may compute a spectrum.
     job = argparse.ArgumentParser(add_help=False)
-    job.add_argument("--cutoff", type=float, default=1.0e5,
+    job.add_argument("--cutoff", type=_bounded(float, lo=0), default=1.0e5,
                      help="eigenvalue cutoff for analytic families")
-    job.add_argument("--count", type=int, default=200,
+    job.add_argument("--count", type=_bounded(int, lo=0), default=200,
                      help="mode count for the FEM fallback")
-    job.add_argument("--h", type=float, default=0.02, help="FEM target size")
+    job.add_argument("--h", type=_bounded(float, lo=0), default=0.02,
+                     help="FEM target size")
     job.add_argument("--out", default=".")
     job.add_argument("--seed", type=int, default=0)
 
@@ -95,9 +110,10 @@ def _build_parser():
     cl.add_argument("--spectrum", default="", help="spectrum file")
     cl.add_argument("--domain", default="", help="domain file (computed if "
                     "no spectrum is given)")
-    cl.add_argument("--chi", type=int, default=1,
+    cl.add_argument("--chi", type=_bounded(int, hi=1), default=1,
                     help="assumed Euler characteristic")
-    cl.add_argument("--decision-z", type=float, default=DEFAULT_DECISION_Z)
+    cl.add_argument("--decision-z", type=_bounded(float, lo=0),
+                    default=DEFAULT_DECISION_Z)
 
     vf = sub.add_parser("verify", help="run the bundled verification corpus")
     vf.add_argument("--filter", dest="name_filter", default="",
@@ -151,7 +167,11 @@ def cmd_classify(cfg):
 
     inputs = {"tool_version": __version__}
     if cfg.spectrum:
-        spec = read_spectrum(cfg.spectrum)
+        try:
+            spec = read_spectrum(cfg.spectrum)
+        except (OSError, ValueError) as exc:
+            print(f"unreadable spectrum: {exc}", file=sys.stderr)
+            return EXIT_FAILURE
         inputs["spectrum_path"] = cfg.spectrum
         inputs["spectrum_digest"] = digest_file(cfg.spectrum)
         label = spec.domain_label or Path(cfg.spectrum).stem

@@ -17,7 +17,6 @@ import numpy as np
 
 from . import analytic_spectra as spectra
 from .geometry import (
-    detect_corners,
     gauss_bonnet_check,
     make_disk,
     make_equilateral_triangle,
@@ -182,11 +181,11 @@ def build_corpus(seed=0, fem=True):
     checks.append(("geometry/gauss-bonnet", gauss_bonnet))
 
     def corner_angles():
-        lsh = sorted(c.theta for c in detect_corners(make_lshape()))
+        lsh = sorted(c.theta for c in make_lshape().corners)
         _assert(len(lsh) == 6 and abs(lsh[-1] - 3 * PI / 2) < 1e-12,
                 "lshape corner angles wrong")
-        _assert(detect_corners(make_disk()) == [], "disk must have no corners")
-        hole = detect_corners(make_square_with_square_hole())
+        _assert(make_disk().corners == [], "disk must have no corners")
+        hole = make_square_with_square_hole().corners
         _assert(sum(1 for c in hole if c.theta > PI) == 4,
                 "hole must contribute four reflex corners")
         return "square/lshape/disk/hole corner sets correct"
@@ -202,7 +201,7 @@ def build_corpus(seed=0, fem=True):
             _assert(coeffs.a0 > 1.0 / 6.0,
                     f"{dom.label}: a0 {coeffs.a0} not above 1/6")
             worst = min(worst, coeffs.a0)
-            thetas = [c.theta for c in detect_corners(dom)]
+            thetas = [c.theta for c in dom.corners]
             x = [t / PI for t in thetas]
             if any(abs(v - 1.0) > 1e-9 for v in x):
                 _assert(f_corner(x) > 2 * len(x),
@@ -243,9 +242,9 @@ def build_corpus(seed=0, fem=True):
             area = implied_area(fit)
             perim = implied_perimeter(fit)
             dom = ref.build()
-            _assert(abs(area - dom.area()) / dom.area() <= 0.005,
+            _assert(abs(area - dom.area) / dom.area <= 0.005,
                     f"{ref.label}: area off {area:.4f}")
-            _assert(abs(perim - dom.perimeter()) / dom.perimeter() <= 0.01,
+            _assert(abs(perim - dom.perimeter) / dom.perimeter <= 0.01,
                     f"{ref.label}: perimeter off {perim:.4f}")
             details.append(f"{ref.label} {err:.1e}")
         return "; ".join(details)
@@ -272,7 +271,7 @@ def build_corpus(seed=0, fem=True):
             # The assisted fit reuses the trace of the L-shape's verdict.
             dom = ref.build()
             fit = fit_expansion(reference_verdict(ref).samples,
-                                area=dom.area(), perimeter=dom.perimeter(),
+                                area=dom.area, perimeter=dom.perimeter,
                                 pollution_term=True)
             err = abs(fit.coef["a0"] - ref.a0)
             _assert(err <= 0.05, f"assisted a0 err {err:.4f}")

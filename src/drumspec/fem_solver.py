@@ -3,8 +3,11 @@
 Meshing is a force-equilibrium Delaunay scheme: boundary points are walked
 at the local target size and held fixed, interior points start on a hex
 lattice (plus radial fans inside reentrant-corner grading zones, where the
-target size falls like r^GRADING towards the corner) and relax
-under repulsion-only edge springs.  The springs follow the edges of the
+target size falls like r^GRADING towards the corner) and relax under
+repulsion-only edge springs.  A corner is graded when its angle theta
+exceeds 1.01 pi, where its leading singular exponent pi/theta is below
+0.99: the kinks of a few 1e-5 rad that a reloaded spline curve keeps at its
+junctions are corners, but not graded.  The springs follow the edges of the
 last Delaunay triangulation, which is redone only once some interior point
 has moved RETRI_MOVE = 0.3 local target sizes from where it saw the point
 (Persson & Strang 2004), and once more at the end.  Stale springs still
@@ -42,7 +45,7 @@ from scipy.spatial import Delaunay, cKDTree
 
 from .analytic_spectra import Spectrum
 from .errors import AssemblyError, EigensolveError, MeshError
-from .geometry import _loops_contain, detect_corners
+from .geometry import _loops_contain
 
 PI = math.pi
 
@@ -128,17 +131,14 @@ def _hex_lattice(bbox_lo, bbox_hi, spacing):
     return np.concatenate(rows, axis=0)
 
 
-def _corner_fans(domain, corners, size_fn, h, diam):
-    """Deterministic graded point fans inside reentrant-corner zones."""
+def _corner_fans(reentrant, size_fn, h, diam):
+    """Deterministic graded point fans inside the zones of the reentrant
+    corners, each fan opening from its corner's outgoing tangent."""
     zone = diam / 4.0
     size_min = h * (h / diam) ** GRADING
     fans = []
-    for c in corners:
-        if c.theta <= PI:
-            continue
-        loop = domain.loops[c.loop_index]
-        w = loop.segments[c.segment_indices[1]].tangent_in()
-        phi0 = math.atan2(w[1], w[0])
+    for c in reentrant:
+        phi0 = c.phi_out
         r = 1.6 * size_min
         while r < zone:
             s = float(size_fn(c.vertex + r * np.array([math.cos(phi0), math.sin(phi0)]))[0])
@@ -162,12 +162,12 @@ def mesh_domain(domain, h):
     """
     if h <= 0:
         raise MeshError("target size h must be positive")
-    diam = domain.diameter()
+    diam = domain.diameter
     if h > diam / 4.0:
         raise MeshError(f"h={h:g} too coarse for a domain of diameter {diam:g}")
-    corners = detect_corners(domain)
-    reentrant = [c.vertex for c in corners if c.theta > PI]
-    size_fn = _size_function(h, diam, reentrant)
+    # The grading rule of the module docstring (theta > 1.01 pi).
+    reentrant = [c for c in domain.corners if c.theta > 1.01 * PI]
+    size_fn = _size_function(h, diam, [c.vertex for c in reentrant])
     sagitta = h * h / diam
 
     def spacing_scalar(p):
@@ -198,7 +198,7 @@ def mesh_domain(domain, h):
     lo = boundary.min(axis=0)
     hi = boundary.max(axis=0)
     lattice = _hex_lattice(lo, hi, h)
-    fans = _corner_fans(domain, corners, size_fn, h, diam)
+    fans = _corner_fans(reentrant, size_fn, h, diam)
     tree = cKDTree(boundary)
 
     def _filter_seeds(pts):
@@ -289,8 +289,8 @@ def mesh_domain(domain, h):
 
     mesh = Mesh(vertices=vertices, triangles=triangles, is_boundary=is_boundary,
                 h=h, chord_error=sagitta,
-                domain_label=domain.label, area=domain.area(),
-                perimeter=domain.perimeter(), boundary_loops=loops_idx,
+                domain_label=domain.label, area=domain.area,
+                perimeter=domain.perimeter, boundary_loops=loops_idx,
                 meta={"min_angle_deg": _min_angles_deg(vertices, triangles).min(),
                       "delaunay_calls": retriangulations + 1,
                       "last_max_move_h": max_move / h})

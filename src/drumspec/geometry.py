@@ -26,7 +26,8 @@ CHAIN_TOL = 1e-9
 # Junction turns within SLIT_TOL of +-pi are cusps/slits and are rejected.
 SLIT_TOL = 1e-9
 
-DEFAULT_ANGLE_TOL = 1e-6
+# Junctions whose turn is at most ANGLE_TOL are smooth, not corners.
+ANGLE_TOL = 1e-6
 
 
 def _as_point(p):
@@ -327,13 +328,13 @@ def _walk_by_spacing(segment, spacing_fn, step_cap=None):
 
 
 class Corner:
-    """Boundary vertex with interior opening angle theta in (0, 2pi)."""
+    """Boundary vertex with interior opening angle theta in (0, 2pi); the
+    boundary leaves it in direction ``phi_out`` (radians)."""
 
-    def __init__(self, vertex, theta, loop_index, segment_indices):
+    def __init__(self, vertex, theta, phi_out):
         self.vertex = _as_point(vertex)
         self.theta = float(theta)
-        self.loop_index = int(loop_index)
-        self.segment_indices = tuple(segment_indices)
+        self.phi_out = float(phi_out)
 
     def __repr__(self):
         return (f"Corner(vertex=({self.vertex[0]:.6g}, {self.vertex[1]:.6g}), "
@@ -341,7 +342,7 @@ class Corner:
 
 
 class BoundaryLoop:
-    """Closed chain of segments; orientation read off the signed area."""
+    """Closed chain of segments."""
 
     def __init__(self, segments):
         if len(segments) < 2:
@@ -358,41 +359,6 @@ class BoundaryLoop:
                 raise InvalidDomainError(
                     f"loop not closed: segment {i} ends {gap:g} away from the next start"
                 )
-
-    def signed_area(self):
-        return sum(s.area_integral() for s in self.segments)
-
-    def length(self):
-        return sum(s.length() for s in self.segments)
-
-    def smooth_turning_integral(self):
-        """Integral of geodesic curvature over segment interiors (no junctions)."""
-        return sum(s.turning_integral() for s in self.segments)
-
-    def junction_turns(self):
-        """Signed exterior turn tau at each junction, tau in (-pi, pi).
-
-        Junction j sits between segment j and segment j+1 (mod n); the turn
-        is measured from the incoming to the outgoing tangent.  Turns within
-        SLIT_TOL of +-pi (cusps and slits) are rejected: the interior angle
-        pi - tau would hit 0 or 2pi, which breaks the Lipschitz hypothesis.
-        """
-        n = len(self.segments)
-        turns = []
-        for j in range(n):
-            u = self.segments[j].tangent_out()
-            w = self.segments[(j + 1) % n].tangent_in()
-            tau = _wrap_pi(math.atan2(w[1], w[0]) - math.atan2(u[1], u[0]))
-            if abs(abs(tau) - math.pi) < SLIT_TOL:
-                raise InvalidDomainError(
-                    f"cusp or slit at junction {j} (interior angle 0 or 2pi)"
-                )
-            turns.append(tau)
-        return turns
-
-    def junction_points(self):
-        return [self.segments[(j + 1) % len(self.segments)].start
-                for j in range(len(self.segments))]
 
     def polyline(self):
         """Closed polyline: line ends, and 64 chords per curved segment."""
@@ -462,8 +428,12 @@ def _polylines_cross(pa, pb):
 class DomainSpec:
     """Validated planar domain: outer loop first, then hole loops.
 
-    All derived quantities are computed on construction and the object is
-    treated as immutable afterwards; every operation on it is pure.
+    Its invariants are computed once, on construction, and read as plain
+    attributes: ``corners`` (see ``detect_corners``), ``chi`` (1 minus the
+    number of holes), ``area`` (the sum of the signed loop areas),
+    ``perimeter``, ``curvature_integral`` (of the geodesic curvature over
+    the smooth part of the boundary) and ``diameter`` (of the outer loop's
+    bounding box).  The object is treated as immutable afterwards.
     """
 
     def __init__(self, loops, label=""):
@@ -473,7 +443,8 @@ class DomainSpec:
                       for lp in loops]
         self.label = str(label)
 
-        areas = [lp.signed_area() for lp in self.loops]
+        areas = [sum(s.area_integral() for s in lp.segments)
+                 for lp in self.loops]
         if areas[0] <= 0:
             raise InvalidDomainError("outer loop must be counterclockwise")
         for i, a in enumerate(areas[1:], start=1):
@@ -497,62 +468,52 @@ class DomainSpec:
                         _polylines_cross(polys[i], polys[j]):
                     raise InvalidDomainError(f"hole loops {i} and {j} overlap")
 
-        # Junction turns are validated eagerly (rejects cusps and slits).
-        for lp in self.loops:
-            lp.junction_turns()
-
+        self.corners = detect_corners(self.loops)
+        self.chi = 2 - len(self.loops)
+        self.area = sum(areas)
+        self.perimeter = sum(sum(s.length() for s in lp.segments)
+                             for lp in self.loops)
+        self.curvature_integral = sum(
+            sum(s.turning_integral() for s in lp.segments) for lp in self.loops)
+        lo, hi = polys[0].min(axis=0), polys[0].max(axis=0)
+        self.diameter = float(np.linalg.norm(hi - lo))
         self._polylines = polys
 
-    @property
-    def chi(self):
-        """Euler characteristic: 1 minus the number of holes."""
-        return 1 - (len(self.loops) - 1)
 
-    def area(self):
-        return sum(lp.signed_area() for lp in self.loops)
+def detect_corners(loops):
+    """The corners of boundary loops, from one pass over their junctions.
 
-    def perimeter(self):
-        return sum(lp.length() for lp in self.loops)
-
-    def curvature_integral(self):
-        """Geodesic curvature integrated over the smooth part of the boundary."""
-        return sum(lp.smooth_turning_integral() for lp in self.loops)
-
-    def diameter(self):
-        pts = self._polylines[0]
-        lo, hi = pts.min(axis=0), pts.max(axis=0)
-        return float(np.linalg.norm(hi - lo))
-
-
-def detect_corners(domain, angle_tol=DEFAULT_ANGLE_TOL):
-    """Find every junction whose one-sided tangents differ from pi.
-
-    The interior opening angle is theta = pi - tau where tau is the signed
-    exterior turn; with holes traversed clockwise the domain interior is on
-    the left everywhere, so the same formula covers reflex corners on hole
-    boundaries.  Junctions with |theta - pi| <= angle_tol count as smooth.
+    Junction j of a loop sits between segment j and segment j+1 (mod n).
+    Its signed exterior turn tau in (-pi, pi) is measured from the incoming
+    to the outgoing tangent, and its interior opening angle is theta =
+    pi - tau; with holes traversed clockwise the domain interior is on the
+    left everywhere, so the same formula covers reflex corners on hole
+    boundaries.  Turns within SLIT_TOL of +-pi (cusps and slits) are
+    rejected: theta would hit 0 or 2pi, which breaks the Lipschitz
+    hypothesis.  Junctions with |tau| <= ANGLE_TOL count as smooth.
     """
-    if angle_tol <= 0:
-        raise InvalidDomainError("angle_tol must be positive")
     corners = []
-    for li, lp in enumerate(domain.loops):
-        turns = lp.junction_turns()
-        points = lp.junction_points()
-        n = len(lp.segments)
-        for j, (tau, pt) in enumerate(zip(turns, points)):
-            if abs(tau) > angle_tol:
-                corners.append(Corner(pt, math.pi - tau, li, (j, (j + 1) % n)))
+    for lp in loops:
+        segs = lp.segments
+        for j, seg in enumerate(segs):
+            nxt = segs[(j + 1) % len(segs)]
+            u, w = seg.tangent_out(), nxt.tangent_in()
+            phi_out = math.atan2(w[1], w[0])
+            tau = _wrap_pi(phi_out - math.atan2(u[1], u[0]))
+            if abs(abs(tau) - math.pi) < SLIT_TOL:
+                raise InvalidDomainError(
+                    f"cusp or slit at junction {j} (interior angle 0 or 2pi)")
+            if abs(tau) > ANGLE_TOL:
+                corners.append(Corner(nxt.start, math.pi - tau, phi_out))
     return corners
 
 
 def gauss_bonnet_check(domain):
     """Residual of: integral of k over the smooth boundary part
     = sum of interior angles + pi*(2*chi - n)."""
-    corners = detect_corners(domain)
-    theta_sum = sum(c.theta for c in corners)
-    n = len(corners)
-    expected = theta_sum + math.pi * (2 * domain.chi - n)
-    return abs(domain.curvature_integral() - expected)
+    expected = sum(c.theta for c in domain.corners) \
+        + math.pi * (2 * domain.chi - len(domain.corners))
+    return abs(domain.curvature_integral - expected)
 
 
 # ---------------------------------------------------------------------------
@@ -599,21 +560,16 @@ def make_regular_polygon(n, circumradius=1.0):
     return make_polygon(verts, label=f"regular-{n}-gon")
 
 
-def _circle_arcs(center, radius, n_arcs=4, reverse=False):
+def _circle_arcs(center, radius):
+    """A counterclockwise circle as four quarter arcs."""
     cx, cy = center
-    ang = np.linspace(0.0, TWO_PI, n_arcs + 1)
+    ang = np.linspace(0.0, TWO_PI, 5)
     pts = [(cx + radius * math.cos(a), cy + radius * math.sin(a)) for a in ang]
-    segs = []
-    for i in range(n_arcs):
-        segs.append(ArcSegment(pts[i], pts[i + 1], center, radius))
-    if reverse:
-        segs = [ArcSegment(s.end, s.start, center, -radius) for s in reversed(segs)]
-    return segs
+    return [ArcSegment(pts[i], pts[i + 1], center, radius) for i in range(4)]
 
 
-def make_disk(radius=1.0, n_arcs=4):
-    return DomainSpec([_circle_arcs((0.0, 0.0), radius, n_arcs=n_arcs)],
-                      label=f"disk-{radius}")
+def make_disk(radius=1.0):
+    return DomainSpec([_circle_arcs((0.0, 0.0), radius)], label=f"disk-{radius}")
 
 
 def make_sector(theta, radius=1.0, label=None):
@@ -708,11 +664,13 @@ def load_domain(path):
 
     from .reporting import SAFE_LOADER
 
-    with open(path) as fh:
-        try:
+    try:
+        with open(path) as fh:
             doc = yaml.load(fh, Loader=SAFE_LOADER)
-        except yaml.YAMLError as exc:
-            raise DomainFileError(f"{path}: not parseable ({exc})") from exc
+    except OSError as exc:
+        raise DomainFileError(f"{path}: not readable ({exc.strerror})") from exc
+    except yaml.YAMLError as exc:
+        raise DomainFileError(f"{path}: not parseable ({exc})") from exc
     if not isinstance(doc, dict):
         raise DomainFileError(f"{path}: expected a mapping at top level")
     extra = set(doc) - {"schema", "label", "loops"}

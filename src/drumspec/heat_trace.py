@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConsistencyError, EmptySpectrumError
-from .geometry import detect_corners
 from .reporting import read_table, write_table
 
 PI = math.pi
@@ -70,10 +69,9 @@ def theoretical_coefficients(domain):
     and the corner angles (valid for curved edges as well, since the
     curvature integral always equals sum(theta_j) + pi(2 chi - n)).
     """
-    corners = detect_corners(domain)
-    thetas = [c.theta for c in corners]
+    thetas = [c.theta for c in domain.corners]
     terms = [corner_term(t) for t in thetas]
-    curv = domain.curvature_integral()
+    curv = domain.curvature_integral
     chi = domain.chi
 
     a0_curvature = curv / (12.0 * PI) + sum(terms)
@@ -85,8 +83,8 @@ def theoretical_coefficients(domain):
             "geometry invariants are broken")
 
     return TheoreticalCoefficients(
-        a_minus1=domain.area() / (4.0 * PI),
-        a_minus_half=-domain.perimeter() / (8.0 * math.sqrt(PI)),
+        a_minus1=domain.area / (4.0 * PI),
+        a_minus_half=-domain.perimeter / (8.0 * math.sqrt(PI)),
         a0=a0_euler,
         curvature_term=curv / (12.0 * PI),
         corner_thetas=thetas,
@@ -114,9 +112,8 @@ def evaluate_trace(spectrum, grid):
     integral over (cutoff, inf) of exp(-lambda t) |Omega|/(4 pi) d lambda
     = |Omega| exp(-cutoff t) / (4 pi t), inflated by DEFAULT_TAIL_SAFETY
     because the density estimate is asymptotic, not rigorous.  The area
-    comes from the spectrum's own hint or, without one, the Weyl estimate
-    4 pi K / cutoff.  The bound is reported however large it is; no grid
-    point is rejected.
+    is ``Spectrum.area_estimate``.  The bound is reported however large it
+    is; no grid point is rejected.
 
     Each grid point's terms are summed exactly (fsum), so the results do
     not depend on the order or chunking of the summation.
@@ -130,12 +127,9 @@ def evaluate_trace(spectrum, grid):
     if lam.size == 0:
         raise EmptySpectrumError("cannot evaluate the trace of an empty spectrum")
 
-    area = spectrum.area_hint
-    if area is None:
-        area = 4.0 * PI * len(lam) / spectrum.cutoff
-
     # A memoryview spares fsum (correctly rounded whatever it iterates) a list.
     values = np.array([math.fsum(memoryview(np.exp(-(tj * lam)))) for tj in t])
+    area = spectrum.area_estimate
     tails = DEFAULT_TAIL_SAFETY * area * np.exp(-spectrum.cutoff * t) / (4.0 * PI * t)
     # Positive by definition; keep it so when exp underflows at huge cutoff*t.
     tails = np.maximum(tails, np.finfo(float).tiny)

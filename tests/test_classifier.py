@@ -75,11 +75,11 @@ class TestA0Identity:
         assert_allclose(a0_simply_connected([PI] * 4), 1.0 / 6.0, rtol=1e-14)
 
     def test_identity_matches_geometry_route(self):
-        from drumspec.geometry import detect_corners, make_lshape, make_regular_polygon
+        from drumspec.geometry import make_lshape, make_regular_polygon
         from drumspec.heat_trace import theoretical_coefficients
 
         for dom in [make_lshape(), make_regular_polygon(5), make_regular_polygon(11)]:
-            thetas = [c.theta for c in detect_corners(dom)]
+            thetas = [c.theta for c in dom.corners]
             assert_allclose(a0_simply_connected(thetas),
                             theoretical_coefficients(dom).a0, rtol=1e-12)
 

@@ -178,6 +178,24 @@ def test_classify_without_input_exits_1(tmp_path):
     assert main(["classify", "--out", str(tmp_path)]) == 1
 
 
+@pytest.mark.parametrize("command", ["spectrum", "classify"])
+def test_missing_domain_file_exits_2(tmp_path, command, capsys):
+    assert main([command, "--domain", str(tmp_path / "missing.yaml"),
+                 "--out", str(tmp_path)]) == 2
+    assert "not readable" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", [None, "# cutoff=100\nindex,eigenvalue\n"],
+                         ids=["missing", "malformed"])
+def test_unreadable_spectrum_file_exits_1(tmp_path, text, capsys):
+    path = tmp_path / "x.spectrum"
+    if text is not None:
+        path.write_text(text)
+    assert main(["classify", "--spectrum", str(path),
+                 "--out", str(tmp_path)]) == 1
+    assert "unreadable spectrum" in capsys.readouterr().err
+
+
 def test_fem_spectrum_gets_the_library_verdict(tmp_path):
     spec = fem_square_spectrum(tmp_path, t_min_bias=0.01)
     outputs = []
@@ -266,6 +284,25 @@ def test_usage_errors_exit_1(argv, capsys):
         main(argv)
     assert exc.value.code == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("option, value", [
+    ("--cutoff", "-5"), ("--cutoff", "nan"), ("--cutoff", "inf"),
+    ("--h", "0"), ("--h", "nan"), ("--decision-z", "-1"),
+    ("--decision-z", "nan"), ("--count", "0"), ("--chi", "2"),
+])
+def test_bad_option_values_are_usage_errors(tmp_path, domain_file, option,
+                                            value, capsys):
+    # Each used to end in a traceback or, for --decision-z -1, in the
+    # smooth disk's has_corners verdict (exit 10).
+    disk = domain_file(make_disk(), "disk")
+    with pytest.raises(SystemExit) as exc:
+        main(["classify", "--domain", disk, option, value,
+              "--out", str(tmp_path)])
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert f"argument {option}: expected a finite" in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("argv", [["--help"], ["--version"],

@@ -15,7 +15,6 @@ from drumspec.geometry import (
     _polygon_contains,
     _polyline_self_intersects,
     _polylines_cross,
-    detect_corners,
     gauss_bonnet_check,
     load_domain,
     make_disk,
@@ -36,25 +35,25 @@ PI = math.pi
 
 class TestCorners:
     def test_unit_square_has_four_right_angles(self):
-        corners = detect_corners(make_square())
+        corners = make_square().corners
         assert len(corners) == 4
         assert_allclose([c.theta for c in corners], PI / 2, rtol=0, atol=1e-12)
 
     def test_circle_of_four_arcs_has_no_corners(self):
-        assert detect_corners(make_disk()) == []
+        assert make_disk().corners == []
 
     def test_lshape_angles(self):
-        thetas = sorted(c.theta for c in detect_corners(make_lshape()))
+        thetas = sorted(c.theta for c in make_lshape().corners)
         assert_allclose(thetas[:5], PI / 2, atol=1e-12)
         assert_allclose(thetas[5], 3 * PI / 2, atol=1e-12)
 
     def test_quarter_disk_angles(self):
-        corners = detect_corners(make_sector(PI / 2))
+        corners = make_sector(PI / 2).corners
         assert len(corners) == 3
         assert_allclose([c.theta for c in corners], PI / 2, atol=1e-12)
 
     def test_hole_corners_are_reflex(self):
-        corners = detect_corners(make_square_with_square_hole())
+        corners = make_square_with_square_hole().corners
         thetas = sorted(c.theta for c in corners)
         assert_allclose(thetas[:4], PI / 2, atol=1e-12)
         assert_allclose(thetas[4:], 3 * PI / 2, atol=1e-12)
@@ -63,11 +62,11 @@ class TestCorners:
         # Vertex at (1, eps) bends the square's bottom edge by ~2e-8 rad.
         eps = 1e-8
         dom = make_polygon([(0, 0), (1, eps), (2, 0), (2, 2), (0, 2)])
-        assert len(detect_corners(dom, angle_tol=1e-6)) == 4
+        assert len(dom.corners) == 4
 
     def test_angles_inside_open_interval(self):
         for dom in [make_square(), make_lshape(), make_square_with_square_hole()]:
-            for c in detect_corners(dom):
+            for c in dom.corners:
                 assert 0.0 < c.theta < 2 * PI
                 assert abs(c.theta - PI) > 1e-6
 
@@ -76,67 +75,103 @@ class TestCorners:
         rot = np.array([[math.cos(ang), -math.sin(ang)],
                         [math.sin(ang), math.cos(ang)]])
         for dom in [make_lshape(), make_sector(2 * PI / 3)]:
-            t0 = sorted(c.theta for c in detect_corners(dom))
-            t1 = sorted(c.theta for c in detect_corners(
-                moved(dom, rot, (1.25, -3.5))))
+            t0 = sorted(c.theta for c in dom.corners)
+            t1 = sorted(c.theta for c in moved(dom, rot, (1.25, -3.5)).corners)
             assert_allclose(t0, t1, rtol=0, atol=1e-12)
 
-    def test_angle_tol_must_be_positive(self):
-        with pytest.raises(InvalidDomainError):
-            detect_corners(make_square(), angle_tol=0.0)
+
+class TestInvariantsComputedOnce:
+    """A domain's corners are detected once, when it is built; every
+    consumer reads them from it."""
+
+    def test_consumers_do_not_detect_corners_again(self, monkeypatch):
+        from drumspec import geometry
+        from drumspec.analytic_spectra import match_reference_family
+        from drumspec.fem_solver import mesh_domain
+        from drumspec.heat_trace import theoretical_coefficients
+
+        domains = [make_lshape(), make_disk(), make_square(),
+                   make_sector(3 * PI / 2), make_ellipse(1.0, 0.6),
+                   make_square_with_square_hole()]
+
+        def refuse(loops):
+            raise AssertionError("corners detected again")
+
+        monkeypatch.setattr(geometry, "detect_corners", refuse)
+        for dom in domains:
+            theoretical_coefficients(dom)
+            match_reference_family(dom)
+            assert gauss_bonnet_check(dom) <= 1e-8
+        mesh_domain(domains[0], 0.1)
+
+    def test_load_domain_detects_corners_once(self, tmp_path, monkeypatch):
+        from drumspec import geometry
+
+        path = tmp_path / "lshape.yaml"
+        save_domain(make_lshape(), path)
+        calls = []
+
+        def counting(loops, original=geometry.detect_corners):
+            calls.append(loops)
+            return original(loops)
+
+        monkeypatch.setattr(geometry, "detect_corners", counting)
+        assert len(load_domain(path).corners) == 6
+        assert len(calls) == 1
 
 
 class TestMeasures:
     def test_square_area_perimeter(self):
         dom = make_square()
-        assert_allclose(dom.area(), 1.0, rtol=1e-14)
-        assert_allclose(dom.perimeter(), 4.0, rtol=1e-14)
+        assert_allclose(dom.area, 1.0, rtol=1e-14)
+        assert_allclose(dom.perimeter, 4.0, rtol=1e-14)
 
     def test_disk_area_perimeter(self):
         dom = make_disk()
-        assert_allclose(dom.area(), PI, rtol=1e-13)
-        assert_allclose(dom.perimeter(), 2 * PI, rtol=1e-13)
+        assert_allclose(dom.area, PI, rtol=1e-13)
+        assert_allclose(dom.perimeter, 2 * PI, rtol=1e-13)
 
     def test_square_with_hole_area(self):
         dom = make_square_with_square_hole()
-        assert_allclose(dom.area(), 0.75, rtol=1e-14)
+        assert_allclose(dom.area, 0.75, rtol=1e-14)
         assert dom.chi == 0
 
     def test_removing_hole_increases_area_and_chi(self):
         holed = make_square_with_square_hole()
         solid = make_square()
-        assert solid.area() > holed.area()
+        assert solid.area > holed.area
         assert solid.chi == holed.chi + 1
 
     def test_quarter_disk_perimeter(self):
-        assert_allclose(make_sector(PI / 2).perimeter(), 2 + PI / 2, rtol=1e-13)
+        assert_allclose(make_sector(PI / 2).perimeter, 2 + PI / 2, rtol=1e-13)
 
     def test_positive_measures(self):
         for dom in [make_square(), make_disk(), make_lshape(),
                     make_equilateral_triangle(), make_square_with_square_hole()]:
-            assert dom.area() > 0
-            assert dom.perimeter() > 0
+            assert dom.area > 0
+            assert dom.perimeter > 0
 
 
 class TestCurvature:
     def test_disk_total_curvature(self):
-        assert_allclose(make_disk().curvature_integral(), 2 * PI, rtol=1e-13)
+        assert_allclose(make_disk().curvature_integral, 2 * PI, rtol=1e-13)
 
     def test_polygons_have_straight_edges(self):
         for dom in [make_square(), make_lshape(), make_regular_polygon(7)]:
-            assert dom.curvature_integral() == 0.0
+            assert dom.curvature_integral == 0.0
 
     def test_quarter_disk_arc_turning(self):
-        assert_allclose(make_sector(PI / 2).curvature_integral(), PI / 2, rtol=1e-13)
+        assert_allclose(make_sector(PI / 2).curvature_integral, PI / 2, rtol=1e-13)
 
     def test_hole_circle_turns_negative(self):
         # Annulus-like: disk of radius 1 with a clockwise circular hole.
         from drumspec.geometry import _circle_arcs
 
         outer = _circle_arcs((0, 0), 1.0)
-        hole = _circle_arcs((0, 0), 0.4, reverse=True)
+        hole = [ArcSegment(s.end, s.start, (0, 0), -0.4)
+                for s in reversed(_circle_arcs((0, 0), 0.4))]
         dom = DomainSpec([outer, hole], label="annulus")
-        assert_allclose(dom.curvature_integral(), 0.0, atol=1e-13)
+        assert_allclose(dom.curvature_integral, 0.0, atol=1e-13)
         assert dom.chi == 0
 
 
@@ -167,19 +202,21 @@ class TestParametric:
 
         a, b = 1.0, 0.6
         dom = make_ellipse(a, b)
-        assert_allclose(dom.area(), PI * a * b, rtol=1e-10)
+        assert_allclose(dom.area, PI * a * b, rtol=1e-10)
         e2 = 1 - (b / a) ** 2
-        assert_allclose(dom.perimeter(), 4 * a * ellipe(e2), rtol=1e-10)
-        assert detect_corners(dom) == []
+        assert_allclose(dom.perimeter, 4 * a * ellipe(e2), rtol=1e-10)
+        assert dom.corners == []
 
     def test_spline_curve_roundtrip(self, tmp_path):
         dom = make_ellipse(1.0, 0.7)
         path = tmp_path / "ellipse.dom"
         save_domain(dom, path)
         loaded = load_domain(path)
-        assert_allclose(loaded.area(), dom.area(), rtol=1e-5)
-        assert_allclose(loaded.perimeter(), dom.perimeter(), rtol=1e-5)
-        assert detect_corners(loaded, angle_tol=1e-3) == []
+        assert_allclose(loaded.area, dom.area, rtol=1e-5)
+        assert_allclose(loaded.perimeter, dom.perimeter, rtol=1e-5)
+        # The spline halves meet at kinks of a few 1e-5 rad, not at corners.
+        assert_allclose([c.theta for c in loaded.corners], PI, rtol=0,
+                        atol=1e-3)
 
 
 class TestValidation:
@@ -247,7 +284,7 @@ class TestValidation:
 
     def test_clockwise_polygon_input_is_normalized(self):
         dom = make_polygon([(0, 0), (0, 1), (1, 1), (1, 0)])
-        assert dom.area() > 0
+        assert dom.area > 0
 
 
 class TestDomainFiles:
@@ -256,9 +293,9 @@ class TestDomainFiles:
         path = tmp_path / "sector.dom"
         save_domain(dom, path)
         loaded = load_domain(path)
-        assert_allclose(loaded.area(), dom.area(), rtol=1e-12)
-        assert_allclose(loaded.perimeter(), dom.perimeter(), rtol=1e-12)
-        assert len(detect_corners(loaded)) == 3
+        assert_allclose(loaded.area, dom.area, rtol=1e-12)
+        assert_allclose(loaded.perimeter, dom.perimeter, rtol=1e-12)
+        assert len(loaded.corners) == 3
 
     def test_unknown_kind_rejected(self, tmp_path):
         path = tmp_path / "bad.dom"
