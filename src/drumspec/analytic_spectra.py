@@ -428,13 +428,13 @@ def match_reference_family(domain):
 
     if kinds == {"line"}:
         if len(segs) == 4 and len(corners) == 4:
-            lengths = [s.length() for s in segs]
+            lengths = [s.length for s in segs]
             right = all(abs(c.theta - math.pi / 2) < 1e-12 for c in corners)
             if right and abs(lengths[0] - lengths[2]) < tol \
                     and abs(lengths[1] - lengths[3]) < tol:
                 return ("rectangle", (lengths[0], lengths[1]))
         if len(segs) == 3 and len(corners) == 3:
-            lengths = [s.length() for s in segs]
+            lengths = [s.length for s in segs]
             if max(lengths) - min(lengths) < tol:
                 return ("equilateral", lengths[0])
         return None

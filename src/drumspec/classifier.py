@@ -12,7 +12,8 @@ The fit's sigma is statistical only.  The decision uses u = max(sigma,
 u_sys), where u_sys is how far a0 moves when the fit refits the same
 samples with one more column (asymptotic_fit.NEXT_TERM): a basis too small
 for the window shows up there and widens the error bar instead of biasing
-the verdict.
+the verdict.  `smooth` also needs z*u <= 1/48, the a0 excess of a single
+right angle; a wider band cannot rule one out and is indeterminate.
 """
 
 import math
@@ -24,6 +25,11 @@ from .asymptotic_fit import choose_window, fit_expansion
 from .heat_trace import evaluate_trace
 
 DEFAULT_DECISION_Z = 3.0
+
+# The widest +-z*u band that still earns `smooth`: a corner of angle theta
+# adds (pi - theta)^2 / (24 pi theta) to a0 - chi/6, which is 1/48 at
+# theta = pi/2, so a band no wider than 1/48 rules out one right angle.
+SMOOTH_RESOLUTION = 1.0 / 48.0
 
 
 def f_corner(x):
@@ -52,17 +58,18 @@ def decide_from_estimate(a0, sigma, chi=1, decision_z=DEFAULT_DECISION_Z):
     """Decision rule on a bare (a0, sigma) estimate.
 
     Shared by classify and by threshold tests: has_corners above
-    chi/6 + z*sigma, smooth inside the +-z*sigma band, indeterminate
-    otherwise (estimates significantly below chi/6, which are consistent
-    with neither branch of the dichotomy).  A zero sigma counts as the
-    smallest positive float.
+    chi/6 + z*sigma, smooth inside the +-z*sigma band when z*sigma is at
+    most SMOOTH_RESOLUTION, indeterminate otherwise (a band too wide to
+    rule out a right angle, or an estimate significantly below chi/6, which
+    is consistent with neither branch of the dichotomy).  A zero sigma
+    counts as the smallest positive float.
     """
     if sigma <= 0:
         sigma = np.finfo(float).tiny
     margin = (a0 - chi / 6.0) / sigma
     if margin > decision_z:
         return "has_corners", margin
-    if abs(margin) <= decision_z:
+    if abs(margin) <= decision_z and decision_z * sigma <= SMOOTH_RESOLUTION:
         return "smooth", margin
     return "indeterminate", margin
 
@@ -101,8 +108,9 @@ def classify(spectrum, chi=1, decision_z=DEFAULT_DECISION_Z):
     """Blind pipeline: one window, one trace, one fit, one-sided decision.
 
     has_corners requires margin = (a0_hat - chi/6) / u > decision_z, with
-    u = max(sigma, u_sys).  smooth requires |margin| <= decision_z.
-    Everything else is indeterminate: the corner bound is one-sided.
+    u = max(sigma, u_sys).  smooth requires |margin| <= decision_z and
+    decision_z * u <= SMOOTH_RESOLUTION.  Everything else is indeterminate:
+    the corner bound is one-sided.
     """
     if not isinstance(chi, (int, np.integer)):
         raise ValueError("chi must be an integer")

@@ -167,7 +167,8 @@ def build_corpus(seed=0, fem=True):
         # Likewise each verdict: for an exact spectrum its fit is the blind
         # fit the a0-recovery check judges, so both checks share it.
         if ref.label not in verdicts_by_label:
-            verdicts_by_label[ref.label] = classify(reference_spectrum(ref))
+            verdicts_by_label[ref.label] = classify(reference_spectrum(ref),
+                                                   chi=ref.chi)
         return verdicts_by_label[ref.label]
 
     def gauss_bonnet():

@@ -28,7 +28,9 @@ counts the eigenvalues below it exactly (Sylvester's law of inertia).  Each
 slice must yield exactly its counted modes, so the spectrum is proven
 complete below the last shift.  Each slice is finished as soon as it is
 solved, by a Rayleigh-Ritz step on its own vectors and a residual check, so
-no basis wider than one slice is kept.  The residual gate needs no
+no basis wider than one slice is kept; a slice that fails the check is
+split once at its midpoint, and each half is solved and checked again.
+The residual gate needs no
 factorisation of M: for P1 triangles diag(M)^-1 M has its eigenvalues in
 [1/2, 2] (Wathen 1987), so sqrt(2) times the residual in the diag(M)^-1
 norm bounds it in the M^-1 norm.
@@ -170,19 +172,16 @@ def mesh_domain(domain, h):
     size_fn = _size_function(h, diam, [c.vertex for c in reentrant])
     sagitta = h * h / diam
 
-    def spacing_scalar(p):
-        return float(size_fn(p)[0])
-
     boundary_loops = []
     boundary_pts = []
     offset = 0
     for li, loop in enumerate(domain.loops):
         pieces = []
         for si, seg in enumerate(loop.segments):
-            pts = seg.walk(spacing_scalar, sagitta=sagitta)
-            if seg.length() < 2.0 * spacing_scalar(seg.start) / 3.0:
+            pts = seg.walk(size_fn, sagitta=sagitta)
+            if seg.length < 2.0 * size_fn(seg.start)[0] / 3.0:
                 raise MeshError(
-                    f"segment {si} of loop {li} (length {seg.length():g}) is "
+                    f"segment {si} of loop {li} (length {seg.length:g}) is "
                     f"too short for h={h:g}")
             pieces.append(pts)
         loop_pts = np.concatenate(pieces, axis=0)
@@ -470,11 +469,12 @@ def solve_lowest(ops, count, seed=0):
     |x|_M) on the lambda-relative residual in the M^-1 norm; it holds
     because diag(M)^-1 M has its eigenvalues in [1/2, 2] for P1 triangles
     (Wathen, IMA J. Numer. Anal. 7, 1987), and it must not exceed
-    RESIDUAL_TOL.  ``ortho_deviation`` is the largest deviation of the
-    M-Gram matrix from the identity over pairs of modes within one slice
-    or in adjacent slices.  The returned Spectrum is truncated and its
-    cutoff set by the Weyl pollution rule, so downstream heat-trace tails
-    only see trusted modes.
+    RESIDUAL_TOL.  A slice that exceeds it is split once at its midpoint,
+    and a half that still exceeds it raises.  ``ortho_deviation`` is the
+    largest deviation of the M-Gram matrix from the identity over pairs of
+    modes within one slice or in adjacent slices.  The returned Spectrum is
+    truncated and its cutoff set by the Weyl pollution rule, so downstream
+    heat-trace tails only see trusted modes.
     """
     K, M = ops.stiffness, ops.mass
     mesh = ops.mesh
@@ -490,6 +490,46 @@ def solve_lowest(ops, count, seed=0):
     vals = np.empty(count)
     rel = np.empty(count)
     ortho_dev, prev = 0.0, None
+
+    def finish(lo, hi, below_lo, below_hi, v0, may_split):
+        # Solve slice [lo, hi), gate its residuals and store its modes; a
+        # failing slice is split once at its midpoint.
+        nonlocal ortho_dev, prev
+        take = min(below_hi, count) - below_lo
+        if take <= 0:
+            return
+        x = _solve_slice(K, M, lo, hi, below_hi - below_lo, v0)
+        # ARPACK residuals in the original pencil grow like lambda * eps
+        # after shift-invert; a Rayleigh-Ritz step on the slice's own
+        # vectors restores them to projection level.
+        theta, s = dense_eigh(x.T @ (K @ x), x.T @ (M @ x))
+        x, theta = x @ s[:, :take], theta[:take]
+        mx = M @ x
+        r = K @ x - mx * theta[None, :]
+        # Gate per mode relative to lambda: |r|_{M^-1} bounds the absolute
+        # eigenvalue error, and double-precision Lanczos cannot push it
+        # below ~lambda^2*eps.  sqrt(2) |r|_{diag(M)^-1} bounds |r|_{M^-1}
+        # (Wathen 1987).
+        res = np.sqrt(2.0 * (dinv @ (r * r)))
+        xnorm = np.sqrt(np.einsum("ij,ij->j", x, mx))
+        rel_x = res / (np.maximum(theta, 1.0) * xnorm)
+        if rel_x.max() > RESIDUAL_TOL:
+            if not may_split:
+                raise EigensolveError(
+                    f"eigensolver residual {rel_x.max():.3g} exceeds "
+                    f"{RESIDUAL_TOL:g} after {count} modes")
+            mid = 0.5 * (lo + hi)
+            below_mid = _factor_shifted(K, M, mid)[1]
+            finish(lo, mid, below_lo, below_mid, v0, False)
+            finish(mid, hi, below_mid, below_hi, v0, False)
+            return
+        vals[below_lo:below_lo + take] = theta
+        rel[below_lo:below_lo + take] = rel_x
+        ortho_dev = max(ortho_dev, np.max(np.abs(x.T @ mx - np.eye(take))))
+        if prev is not None:
+            ortho_dev = max(ortho_dev, np.max(np.abs(prev.T @ mx)))
+        prev = x
+
     lo, below_lo, slices = 0.0, 0, 0
     while below_lo < count:
         if slices < len(bounds):
@@ -502,37 +542,10 @@ def solve_lowest(ops, count, seed=0):
         # Only the count is kept: a factorisation held through the slice's
         # solve makes resident memory climb from slice to slice.
         below_hi = _factor_shifted(K, M, hi)[1]
-        v0 = rng.standard_normal(n)
-        if below_hi > below_lo:
-            x = _solve_slice(K, M, lo, hi, below_hi - below_lo, v0)
-            take = min(below_hi, count) - below_lo
-            # ARPACK residuals in the original pencil grow like lambda * eps
-            # after shift-invert; a Rayleigh-Ritz step on the slice's own
-            # vectors restores them to projection level.
-            theta, s = dense_eigh(x.T @ (K @ x), x.T @ (M @ x))
-            x, theta = x @ s[:, :take], theta[:take]
-            mx = M @ x
-            r = K @ x - mx * theta[None, :]
-            # Gate per mode relative to lambda: |r|_{M^-1} bounds the
-            # absolute eigenvalue error, and double-precision Lanczos cannot
-            # push it below ~lambda^2*eps.  sqrt(2) |r|_{diag(M)^-1} bounds
-            # |r|_{M^-1} (Wathen 1987).
-            res = np.sqrt(2.0 * (dinv @ (r * r)))
-            xnorm = np.sqrt(np.einsum("ij,ij->j", x, mx))
-            vals[below_lo:below_lo + take] = theta
-            rel[below_lo:below_lo + take] = \
-                res / (np.maximum(theta, 1.0) * xnorm)
-            ortho_dev = max(ortho_dev, np.max(np.abs(x.T @ mx - np.eye(take))))
-            if prev is not None:
-                ortho_dev = max(ortho_dev, np.max(np.abs(prev.T @ mx)))
-            prev = x
+        finish(lo, hi, below_lo, below_hi, rng.standard_normal(n), True)
         lo, below_lo, slices = hi, below_hi, slices + 1
     if np.any(vals <= 0):
         raise EigensolveError("nonpositive discrete eigenvalue; broken operators")
-    if np.any(rel > RESIDUAL_TOL):
-        raise EigensolveError(
-            f"eigensolver residual {rel.max():.3g} exceeds {RESIDUAL_TOL:g} "
-            f"after {count} modes")
 
     n_ok = complete_below(vals, mesh.area, mesh.perimeter)
     trusted = vals[:n_ok]

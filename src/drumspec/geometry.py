@@ -4,8 +4,10 @@ A domain is described by one outer loop (counterclockwise) and any number of
 hole loops (clockwise), each loop a closed chain of segments.  Three segment
 kinds exist: straight lines, circular arcs, and smooth parametric curves.
 All geometric invariants entering the heat-trace expansion (area, perimeter,
-geodesic-curvature integral, corner angles) are computed here, exactly for
-lines and arcs and by adaptive quadrature for parametric curves.
+geodesic-curvature integral, corner angles) are computed here, once, when a
+segment or domain is built, and read as attributes afterwards.  Lines and
+arcs have closed forms; a parametric curve gets its length, turning and
+area from one adaptive quadrature pass, whose panels a spline's knots split.
 """
 
 import math
@@ -63,30 +65,85 @@ def _wrap_pi(angle):
 _GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(10)
 
 
-def _adaptive_gauss(vec_integrand):
-    """Composite Gauss-Legendre on [0, 1], doubling panels until two
-    estimates agree to QUAD_TOL.
+def _adaptive_gauss(integrand, breaks):
+    """Composite Gauss-Legendre over [breaks[0], breaks[-1]]: each interval
+    between breaks is cut into m equal panels, at least 8 panels in all,
+    and m doubles until two successive estimates of every row agree to
+    QUAD_TOL.
 
-    Handles piecewise-polynomial integrands (splines) without subdivision
-    warnings; the integrand must accept a parameter array.
+    ``integrand`` maps a parameter array of shape (n,) to rows of shape
+    (k, n); one pass integrates all k rows.  Breaks at a spline's knots give
+    every panel a single polynomial piece, so the rule converges there as on
+    a smooth integrand.
     """
-    n = 8
+    breaks = np.asarray(breaks, dtype=float)
+    m = math.ceil(8 / (len(breaks) - 1))
     prev = None
-    while n <= 65536:
-        edges = np.linspace(0.0, 1.0, n + 1)
-        mid = 0.5 * (edges[:-1] + edges[1:])
-        half = 0.5 * (edges[1] - edges[0])
-        u = (mid[:, None] + half * _GAUSS_NODES[None, :]).ravel()
-        w = np.tile(half * _GAUSS_WEIGHTS, n)
-        val = float(vec_integrand(u) @ w)
-        if prev is not None and abs(val - prev) <= QUAD_TOL * max(1.0, abs(val)):
+    while m * (len(breaks) - 1) <= 65536:
+        edges = breaks[:-1, None] \
+            + np.diff(breaks)[:, None] * np.linspace(0.0, 1.0, m + 1)[None, :]
+        mid = 0.5 * (edges[:, :-1] + edges[:, 1:]).ravel()
+        half = 0.5 * (edges[:, 1:] - edges[:, :-1]).ravel()
+        u = (mid[:, None] + half[:, None] * _GAUSS_NODES[None, :]).ravel()
+        w = (half[:, None] * _GAUSS_WEIGHTS[None, :]).ravel()
+        val = integrand(u) @ w
+        if prev is not None and np.all(
+                np.abs(val - prev) <= QUAD_TOL * np.maximum(1.0, np.abs(val))):
             return val
         prev = val
-        n *= 2
+        m *= 2
     raise NumericError("segment quadrature failed to converge")
 
 
-class LineSegment:
+class _Segment:
+    """What the three segment kinds share.
+
+    A kind sets ``start``, ``end``, ``length``, ``turning_integral`` (of
+    the geodesic curvature) and ``area_integral`` (its share of
+    (1/2) * integral(x dy - y dx)) in ``__init__``.  It supplies a
+    vectorised ``point_at(u)`` for u in [0, 1] and ``tangent_in`` and
+    ``tangent_out`` (unit, in traversal direction), and overrides
+    ``step_cap`` and ``to_dict`` where it needs more than a straight line.
+    """
+
+    def sample(self, n):
+        """The n + 1 points at u = 0, 1/n, ..., 1."""
+        return self.point_at(np.linspace(0.0, 1.0, n + 1))
+
+    def step_cap(self, sagitta):
+        """Longest walk step whose chord keeps within ``sagitta``."""
+        return math.inf
+
+    def walk(self, size_fn, sagitta):
+        """Points along the segment spaced by a local size function, which
+        maps points of shape (n, 2) to sizes of shape (n,).
+
+        Returns the start point and interior points, excluding the segment
+        end (loop walks chain segment outputs).  Walks in parameter space
+        with arclength steps given by the size function, capped by
+        ``step_cap``; the step that would pass u = 1 is recorded and all
+        parameters are rescaled by 1/overshoot so the walk ends exactly at
+        the segment end.
+        """
+        cap = self.step_cap(sagitta)
+        us = [0.0]
+        u = 0.0
+        while True:
+            step = max(size_fn(self.point_at(np.array([u])))[0], 1e-12)
+            u = u + min(step, cap) / self.length
+            if u >= 1.0 - 1e-9:
+                break
+            us.append(u)
+            if len(us) > 200000:
+                raise InvalidDomainError("boundary walk failed to terminate")
+        return self.point_at(np.array(us) / u)
+
+    def to_dict(self):
+        return {"kind": self.kind, "start": self.start.tolist(),
+                "end": self.end.tolist()}
+
+
+class LineSegment(_Segment):
     """Straight segment from ``start`` to ``end``."""
 
     kind = "line"
@@ -94,44 +151,21 @@ class LineSegment:
     def __init__(self, start, end):
         self.start = _as_point(start)
         self.end = _as_point(end)
-
-    def length(self):
-        return _norm(self.end - self.start)
+        self.length = _norm(self.end - self.start)
+        self.turning_integral = 0.0
+        self.area_integral = 0.5 * _cross(self.start, self.end)
 
     def tangent_in(self):
-        """Unit tangent at the start, in traversal direction."""
         return _unit(self.end - self.start)
 
     def tangent_out(self):
-        """Unit tangent at the end, in traversal direction."""
         return self.tangent_in()
 
-    def turning_integral(self):
-        return 0.0
-
-    def area_integral(self):
-        """Contribution of this segment to (1/2) * integral(x dy - y dx)."""
-        return 0.5 * _cross(self.start, self.end)
-
-    def sample(self, n):
-        u = np.linspace(0.0, 1.0, n + 1)
+    def point_at(self, u):
         return self.start[None, :] + u[:, None] * (self.end - self.start)[None, :]
 
-    def walk(self, spacing_fn, sagitta):
-        return _walk_by_spacing(self, spacing_fn)
 
-    def point_at(self, u):
-        return self.start + u * (self.end - self.start)
-
-    def to_dict(self):
-        return {
-            "kind": "line",
-            "start": [float(self.start[0]), float(self.start[1])],
-            "end": [float(self.end[0]), float(self.end[1])],
-        }
-
-
-class ArcSegment:
+class ArcSegment(_Segment):
     """Circular arc; the sign of ``radius`` selects the sweep direction.
 
     Positive radius sweeps counterclockwise around ``center`` from ``start``
@@ -161,19 +195,18 @@ class ArcSegment:
         a1 = math.atan2(self.end[1] - self.center[1], self.end[0] - self.center[0])
         if np.allclose(self.start, self.end):
             raise InvalidDomainError("arc endpoints coincide; split full circles")
-        if self.ccw:
-            sweep = math.fmod(a1 - a0, TWO_PI)
-            if sweep <= 0.0:
-                sweep += TWO_PI
-        else:
-            sweep = math.fmod(a1 - a0, TWO_PI)
-            if sweep >= 0.0:
-                sweep -= TWO_PI
+        sweep = math.fmod(a1 - a0, TWO_PI)
+        if self.ccw and sweep <= 0.0:
+            sweep += TWO_PI
+        elif not self.ccw and sweep >= 0.0:
+            sweep -= TWO_PI
         self.angle0 = a0
         self.sweep = sweep  # signed, in (-2pi, 0) or (0, 2pi)
-
-    def length(self):
-        return self.radius * abs(self.sweep)
+        self.length = r * abs(sweep)
+        # Geodesic curvature k = +-1/R; integral over the arc is the signed sweep.
+        self.turning_integral = sweep
+        self.area_integral = 0.5 * (_cross(self.center, self.end - self.start)
+                                    + r * r * sweep)
 
     def _tangent(self, alpha):
         t = np.array([-math.sin(alpha), math.cos(alpha)])
@@ -185,46 +218,29 @@ class ArcSegment:
     def tangent_out(self):
         return self._tangent(self.angle0 + self.sweep)
 
-    def turning_integral(self):
-        # Geodesic curvature k = +-1/R; integral over the arc is the signed sweep.
-        return self.sweep
-
-    def area_integral(self):
-        c, r = self.center, self.radius
-        return 0.5 * (_cross(c, self.end - self.start) + r * r * self.sweep)
-
-    def sample(self, n):
-        alpha = self.angle0 + self.sweep * np.linspace(0.0, 1.0, n + 1)
-        return self.center[None, :] + self.radius * np.stack(
-            [np.cos(alpha), np.sin(alpha)], axis=1
-        )
-
-    def walk(self, spacing_fn, sagitta):
+    def step_cap(self, sagitta):
         # Chord of length c on a circle of radius R has sagitta c^2/(8R).
-        cap = 2.0 * math.sqrt(2.0 * self.radius * sagitta)
-        return _walk_by_spacing(self, spacing_fn, step_cap=cap)
+        return 2.0 * math.sqrt(2.0 * self.radius * sagitta)
 
     def point_at(self, u):
         alpha = self.angle0 + self.sweep * u
-        return self.center + self.radius * np.array([math.cos(alpha), math.sin(alpha)])
+        return self.center[None, :] + self.radius * np.stack(
+            [np.cos(alpha), np.sin(alpha)], axis=1)
 
     def to_dict(self):
-        return {
-            "kind": "arc",
-            "start": [float(self.start[0]), float(self.start[1])],
-            "end": [float(self.end[0]), float(self.end[1])],
-            "center": [float(self.center[0]), float(self.center[1])],
-            "radius": float(self.radius if self.ccw else -self.radius),
-        }
+        return dict(super().to_dict(), center=self.center.tolist(),
+                    radius=self.radius if self.ccw else -self.radius)
 
 
-class CurveSegment:
+class CurveSegment(_Segment):
     """Smooth parametric segment gamma(u), u in [0, 1].
 
     ``fun``/``dfun``/``d2fun`` map a parameter array of shape (n,) to points
     of shape (n, 2).  First and second derivatives must be supplied so the
     geodesic curvature is available; segments loaded from files get them from
-    a cubic spline through the stored sample points.
+    a cubic spline through the stored sample points.  Length, turning and
+    area come from one quadrature pass, split at the knots ``fun.x`` when
+    ``fun`` is a spline.
     """
 
     kind = "curve"
@@ -236,6 +252,17 @@ class CurveSegment:
         self._points = None if points is None else np.asarray(points, dtype=float)
         self.start = _as_point(fun(np.array([0.0]))[0])
         self.end = _as_point(fun(np.array([1.0]))[0])
+
+        def rows(u):
+            p, d, dd = fun(u), dfun(u), d2fun(u)
+            speed2 = d[:, 0] ** 2 + d[:, 1] ** 2
+            return np.stack([np.sqrt(speed2),
+                             (d[:, 0] * dd[:, 1] - d[:, 1] * dd[:, 0]) / speed2,
+                             0.5 * (p[:, 0] * d[:, 1] - p[:, 1] * d[:, 0])])
+
+        # A CubicSpline (a scipy PPoly) keeps its knots in ``x``.
+        self.length, self.turning_integral, self.area_integral = map(
+            float, _adaptive_gauss(rows, getattr(fun, "x", (0.0, 1.0))))
 
     @classmethod
     def from_points(cls, points):
@@ -251,80 +278,27 @@ class CurveSegment:
         spline = CubicSpline(u, pts, axis=0)
         return cls(spline, spline.derivative(1), spline.derivative(2), points=pts)
 
-    def length(self):
-        return _adaptive_gauss(
-            lambda u: np.linalg.norm(self.dfun(u), axis=1))
-
     def tangent_in(self):
         return _unit(self.dfun(np.array([0.0]))[0])
 
     def tangent_out(self):
         return _unit(self.dfun(np.array([1.0]))[0])
 
-    def turning_integral(self):
-        def integrand(u):
-            d = self.dfun(u)
-            dd = self.d2fun(u)
-            return (d[:, 0] * dd[:, 1] - d[:, 1] * dd[:, 0]) \
-                / (d[:, 0] ** 2 + d[:, 1] ** 2)
-
-        return _adaptive_gauss(integrand)
-
-    def area_integral(self):
-        def integrand(u):
-            p = self.fun(u)
-            d = self.dfun(u)
-            return 0.5 * (p[:, 0] * d[:, 1] - p[:, 1] * d[:, 0])
-
-        return _adaptive_gauss(integrand)
-
-    def sample(self, n):
-        return np.asarray(self.fun(np.linspace(0.0, 1.0, n + 1)), dtype=float)
-
-    def walk(self, spacing_fn, sagitta):
+    def step_cap(self, sagitta):
+        # The largest curvature over 65 samples stands in for the maximum.
         u = np.linspace(0.0, 1.0, 65)
         d, dd = self.dfun(u), self.d2fun(u)
         speed2 = np.einsum("ij,ij->i", d, d)
         kmax = np.max(np.abs(d[:, 0] * dd[:, 1] - d[:, 1] * dd[:, 0])
                       / np.maximum(speed2, 1e-30) ** 1.5)
-        cap = 2.0 * math.sqrt(2.0 * sagitta / kmax) if kmax > 1e-12 else None
-        return _walk_by_spacing(self, spacing_fn, step_cap=cap)
+        return 2.0 * math.sqrt(2.0 * sagitta / kmax) if kmax > 1e-12 else math.inf
 
     def point_at(self, u):
-        return np.asarray(self.fun(np.atleast_1d(u))[0], dtype=float)
+        return np.asarray(self.fun(u), dtype=float)
 
     def to_dict(self):
         pts = self._points if self._points is not None else self.sample(128)
-        return {"kind": "curve", "points": [[float(x), float(y)] for x, y in pts]}
-
-
-def _walk_by_spacing(segment, spacing_fn, step_cap=None):
-    """Points along a segment spaced by a local size function.
-
-    Returns the start point and interior points, excluding the segment end
-    (loop walks chain segment outputs).  Walks in parameter space with
-    arclength steps given by the spacing function (optionally capped, e.g.
-    to bound the chord sagitta on curved segments); the step that would pass
-    u = 1 is recorded and all parameters are rescaled by 1/overshoot so the
-    walk ends exactly at the segment end.
-    """
-    total = segment.length()
-    us = [0.0]
-    u = 0.0
-    guard = 0
-    while True:
-        step = max(spacing_fn(segment.point_at(u)), 1e-12)
-        if step_cap is not None:
-            step = min(step, step_cap)
-        u = u + step / total
-        if u >= 1.0 - 1e-9:
-            break
-        us.append(u)
-        guard += 1
-        if guard > 200000:
-            raise InvalidDomainError("boundary walk failed to terminate")
-    us = np.array(us) / u
-    return np.array([segment.point_at(v) for v in us])
+        return {"kind": "curve", "points": pts.tolist()}
 
 
 class Corner:
@@ -351,7 +325,7 @@ class BoundaryLoop:
         scale = max(max(_norm(s.start), _norm(s.end)) for s in self.segments)
         scale = max(scale, 1.0)
         for i, seg in enumerate(self.segments):
-            if seg.length() < 1e-12 * scale:
+            if seg.length < 1e-12 * scale:
                 raise InvalidDomainError(f"degenerate segment {i} (zero length)")
             nxt = self.segments[(i + 1) % len(self.segments)]
             gap = _norm(seg.end - nxt.start)
@@ -443,7 +417,7 @@ class DomainSpec:
                       for lp in loops]
         self.label = str(label)
 
-        areas = [sum(s.area_integral() for s in lp.segments)
+        areas = [sum(s.area_integral for s in lp.segments)
                  for lp in self.loops]
         if areas[0] <= 0:
             raise InvalidDomainError("outer loop must be counterclockwise")
@@ -471,10 +445,10 @@ class DomainSpec:
         self.corners = detect_corners(self.loops)
         self.chi = 2 - len(self.loops)
         self.area = sum(areas)
-        self.perimeter = sum(sum(s.length() for s in lp.segments)
+        self.perimeter = sum(sum(s.length for s in lp.segments)
                              for lp in self.loops)
         self.curvature_integral = sum(
-            sum(s.turning_integral() for s in lp.segments) for lp in self.loops)
+            sum(s.turning_integral for s in lp.segments) for lp in self.loops)
         lo, hi = polys[0].min(axis=0), polys[0].max(axis=0)
         self.diameter = float(np.linalg.norm(hi - lo))
         self._polylines = polys

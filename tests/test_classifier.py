@@ -13,6 +13,7 @@ from drumspec.analytic_spectra import (
     sector_spectrum,
 )
 from drumspec.classifier import (
+    SMOOTH_RESOLUTION,
     a0_simply_connected,
     classify,
     decide_from_estimate,
@@ -20,6 +21,8 @@ from drumspec.classifier import (
     isospectral_compare,
 )
 from drumspec.errors import InsufficientSpectrumError
+from drumspec.fem_solver import fem_spectrum
+from drumspec.geometry import make_sector
 
 PI = math.pi
 
@@ -109,6 +112,17 @@ class TestDecisionRule:
         assert margin < -3
         assert dec == "indeterminate"
 
+    def test_smooth_needs_a_band_that_rules_out_a_right_angle(self):
+        # A right angle adds (pi - pi/2)^2 / (24 pi * pi/2) = 1/48 to a0.
+        assert SMOOTH_RESOLUTION == (PI / 2) ** 2 / (24 * PI * PI / 2)
+        z = 3.0
+        for scale, want in [(1 - 1e-9, "smooth"), (1 + 1e-9, "indeterminate")]:
+            sigma = scale * SMOOTH_RESOLUTION / z
+            assert decide_from_estimate(1 / 6, sigma, decision_z=z)[0] == want
+            # The corner branch does not depend on the band width.
+            assert decide_from_estimate(1 / 6 + 4 * sigma, sigma,
+                                        decision_z=z)[0] == "has_corners"
+
 
 class TestClassifyPipelines:
     def test_square_has_corners(self):
@@ -129,6 +143,13 @@ class TestClassifyPipelines:
     def test_triangle_has_corners(self):
         verdict = classify(equilateral_triangle_spectrum(1.0, 3.0e4))
         assert verdict.decision == "has_corners"
+
+    def test_fem_270_degree_sector_is_not_smooth(self):
+        # Three corners, but an a0 of 0.2026 +- 0.036: inside the +-z*u band
+        # around 1/6, which is too wide to rule out a right angle.
+        verdict = classify(fem_spectrum(make_sector(3 * PI / 2), 0.02, 300))
+        assert verdict.decision != "smooth"
+        assert verdict.decision_z * verdict.uncertainty > SMOOTH_RESOLUTION
 
     def test_insufficient_spectrum_propagates(self):
         with pytest.raises(InsufficientSpectrumError):

@@ -253,8 +253,8 @@ def test_injected_a0_bias_fails_exactly_the_classifier_row(tmp_path,
     # fail exactly its classifier row, on the smooth disk.
     classify = classifier.classify
 
-    def biased(spectrum):
-        verdict = classify(spectrum)
+    def biased(spectrum, chi=1):
+        verdict = classify(spectrum, chi=chi)
         a0 = verdict.a0_estimate + 0.1
         decision, margin = classifier.decide_from_estimate(
             a0, verdict.uncertainty, chi=verdict.chi,

@@ -28,6 +28,9 @@ from drumspec.fem_solver import (
     solve_lowest,
 )
 from drumspec.geometry import (
+    ArcSegment,
+    DomainSpec,
+    _circle_arcs,
     load_domain,
     make_disk,
     make_ellipse,
@@ -387,6 +390,17 @@ class TestEigenvalues:
         spec = fem_spectrum(make_disk(), 0.05, 8)
         assert spec.meta["max_residual"] <= 1e-8
 
+    def test_annulus_solves(self):
+        # The first slice, solved about its midpoint alone, leaves a
+        # near-degenerate pair at 22.158 with residual 3.6e-7; its halves
+        # pass the gate.
+        hole = [ArcSegment(s.end, s.start, (0, 0), -0.3)
+                for s in reversed(_circle_arcs((0, 0), 0.3))]
+        annulus = DomainSpec([_circle_arcs((0, 0), 1.0), hole])
+        spec = fem_spectrum(annulus, 0.02, 300)
+        assert spec.meta["max_residual"] <= 1e-8
+        assert spec.meta["inertia_count"] >= 300
+
     def test_discrete_domain_monotonicity(self):
         inner = fem_spectrum(make_square(), 0.04, 20)
         outer = fem_spectrum(make_rectangle(1.2, 1.1), 0.04, 20)
@@ -521,6 +535,40 @@ class TestSpectrumSlicing:
 
         monkeypatch.setattr(fem_solver, "eigsh", drop_nearest)
         with pytest.raises(EigensolveError, match="by inertia"):
+            solve_lowest(small_lshape_ops, 20)
+
+    @staticmethod
+    def spoil(monkeypatch, calls_spoiled):
+        """Record each _solve_slice call's slice; perturb the vectors the
+        calls numbered in ``calls_spoiled`` return."""
+        original = fem_solver._solve_slice
+        calls = []
+
+        def spoiling(K, M, lo, hi, modes, v0):
+            x = original(K, M, lo, hi, modes, v0)
+            calls.append((lo, hi))
+            if len(calls) in calls_spoiled:
+                x = x + 1e-3 * np.random.default_rng(1).standard_normal(x.shape)
+            return x
+
+        monkeypatch.setattr(fem_solver, "_solve_slice", spoiling)
+        return calls
+
+    def test_failing_slice_is_split_once(self, small_lshape_ops,
+                                         trust_all_modes, monkeypatch):
+        dense = dense_eigenvalues(small_lshape_ops)
+        calls = self.spoil(monkeypatch, {1})
+        count = SLICE_MODES + 20
+        spec = solve_lowest(small_lshape_ops, count)
+        assert_allclose(spec.eigenvalues, dense[:count], rtol=1e-10, atol=0)
+        assert spec.meta["max_residual"] <= 1e-8
+        lo, hi = calls[0]
+        mid = 0.5 * (lo + hi)
+        assert calls[1:3] == [(lo, mid), (mid, hi)]
+
+    def test_failing_half_is_an_error(self, small_lshape_ops, monkeypatch):
+        self.spoil(monkeypatch, {1, 2})
+        with pytest.raises(EigensolveError, match="residual .* exceeds 1e-08"):
             solve_lowest(small_lshape_ops, 20)
 
 

@@ -81,8 +81,8 @@ class TestCorners:
 
 
 class TestInvariantsComputedOnce:
-    """A domain's corners are detected once, when it is built; every
-    consumer reads them from it."""
+    """A domain's corners are detected, and its segments integrated, once,
+    when it is built; every consumer reads them from it."""
 
     def test_consumers_do_not_detect_corners_again(self, monkeypatch):
         from drumspec import geometry
@@ -94,15 +94,44 @@ class TestInvariantsComputedOnce:
                    make_sector(3 * PI / 2), make_ellipse(1.0, 0.6),
                    make_square_with_square_hole()]
 
-        def refuse(loops):
-            raise AssertionError("corners detected again")
+        def refuse(*args):
+            raise AssertionError("computed again")
 
         monkeypatch.setattr(geometry, "detect_corners", refuse)
+        monkeypatch.setattr(geometry, "_adaptive_gauss", refuse)
         for dom in domains:
             theoretical_coefficients(dom)
             match_reference_family(dom)
             assert gauss_bonnet_check(dom) <= 1e-8
         mesh_domain(domains[0], 0.1)
+        mesh_domain(domains[4], 0.1)
+
+    def test_a_curve_is_integrated_in_one_pass(self, tmp_path, monkeypatch):
+        from drumspec import geometry
+
+        calls = []
+
+        def counting(integrand, breaks, original=geometry._adaptive_gauss):
+            calls.append(len(breaks))
+            return original(integrand, breaks)
+
+        monkeypatch.setattr(geometry, "_adaptive_gauss", counting)
+        path = tmp_path / "ellipse.yaml"
+        save_domain(make_ellipse(), path)
+        load_domain(path)
+        # One pass per half; a reloaded half breaks at its 129 spline knots.
+        assert calls == [2, 2, 129, 129]
+
+    @pytest.mark.parametrize("seg, length, turning, area", [
+        (LineSegment((1, 2), (4, 6)), 5.0, 0.0, 0.5 * (1 * 6 - 2 * 4)),
+        (ArcSegment((1, 0), (0, 1), (0, 0), 1.0), PI / 2, PI / 2, PI / 4),
+        (ArcSegment((2, 1), (1, 2), (1, 1), -1.0), 3 * PI / 2, -3 * PI / 2,
+         0.5 * (1 * 1 - 1 * (-1)) - 0.75 * PI),
+    ])
+    def test_line_and_arc_invariants_are_closed_forms(self, seg, length,
+                                                      turning, area):
+        assert_allclose([seg.length, seg.turning_integral, seg.area_integral],
+                        [length, turning, area], rtol=1e-15, atol=1e-15)
 
     def test_load_domain_detects_corners_once(self, tmp_path, monkeypatch):
         from drumspec import geometry
@@ -194,6 +223,13 @@ class TestGaussBonnet:
     def test_parametric_ellipse(self):
         dom = make_ellipse(1.0, 0.6)
         assert gauss_bonnet_check(dom) <= 1e-9
+
+    def test_reloaded_spline_ellipse(self, tmp_path):
+        # Panels split at the spline's knots see one cubic piece each; panels
+        # that straddle them left a residual of 4e-11.
+        path = tmp_path / "ellipse.yaml"
+        save_domain(make_ellipse(1.0, 0.7), path)
+        assert gauss_bonnet_check(load_domain(path)) <= 1e-13
 
 
 class TestParametric:
