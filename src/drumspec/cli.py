@@ -99,7 +99,7 @@ def _build_parser():
     job.add_argument("--h", type=_bounded(float, lo=0), default=0.02,
                      help="FEM target size")
     job.add_argument("--out", default=".")
-    job.add_argument("--seed", type=int, default=0)
+    job.add_argument("--seed", type=_bounded(int, lo=-1), default=0)
 
     sp = sub.add_parser("spectrum", parents=[job],
                         help="compute a Dirichlet spectrum")
@@ -118,7 +118,7 @@ def _build_parser():
     vf = sub.add_parser("verify", help="run the bundled verification corpus")
     vf.add_argument("--filter", dest="name_filter", default="",
                     help="run only checks whose name contains this string")
-    vf.add_argument("--seed", type=int, default=0)
+    vf.add_argument("--seed", type=_bounded(int, lo=-1), default=0)
     vf.add_argument("--out", default=".")
     vf.add_argument("--skip-fem", action="store_true",
                     help="skip the slow finite-element rows")

@@ -3,11 +3,12 @@
 A domain is described by one outer loop (counterclockwise) and any number of
 hole loops (clockwise), each loop a closed chain of segments.  Three segment
 kinds exist: straight lines, circular arcs, and smooth parametric curves.
-All geometric invariants entering the heat-trace expansion (area, perimeter,
-geodesic-curvature integral, corner angles) are computed here, once, when a
-segment or domain is built, and read as attributes afterwards.  Lines and
-arcs have closed forms; a parametric curve gets its length, turning and
-area from one adaptive quadrature pass, whose panels a spline's knots split.
+A domain is validated on sampled polylines: one sweep over all loops' edges
+finds any crossing, then the containment routine places each hole.  The
+invariants entering the heat-trace expansion (area, perimeter, curvature
+integral, corner angles) are computed once, when a segment or domain is
+built, and read as attributes: closed forms for lines and arcs, and one
+quadrature pass, split at a spline's knots, for a curve.
 """
 
 import math
@@ -21,8 +22,7 @@ TWO_PI = 2.0 * math.pi
 # Relative tolerance used by the adaptive quadrature on parametric segments.
 QUAD_TOL = 1e-11
 
-# Endpoint chaining tolerance (relative to loop scale); chained endpoints are
-# snapped to the exact shared coordinates after validation.
+# Endpoint chaining tolerance, relative to the loop's scale.
 CHAIN_TOL = 1e-9
 
 # Junction turns within SLIT_TOL of +-pi are cusps/slits and are rejected.
@@ -30,6 +30,9 @@ SLIT_TOL = 1e-9
 
 # Junctions whose turn is at most ANGLE_TOL are smooth, not corners.
 ANGLE_TOL = 1e-6
+
+# Most edge pairs one block of the crossing sweep expands.
+CROSSING_BLOCK = 2 ** 20
 
 
 def _as_point(p):
@@ -334,12 +337,6 @@ class BoundaryLoop:
                     f"loop not closed: segment {i} ends {gap:g} away from the next start"
                 )
 
-    def polyline(self):
-        """Closed polyline: line ends, and 64 chords per curved segment."""
-        pieces = [s.sample(1 if s.kind == "line" else 64)[:-1]
-                  for s in self.segments]
-        return np.concatenate(pieces, axis=0)
-
 
 def _polygon_contains(poly, points):
     """Crossing-number containment test of ``points`` against closed ``poly``.
@@ -373,34 +370,40 @@ def _loops_contain(polys, points):
     return inside
 
 
-def _edge_crosses(p1, p2, q1, q2):
-    """Whether edge p1 -> p2 strictly crosses any edge q1[k] -> q2[k]: each
-    edge's endpoints lie strictly on opposite sides of the other's line."""
-    e, f = p2 - p1, q2 - q1
-    d1 = e[0] * (q1[:, 1] - p1[1]) - e[1] * (q1[:, 0] - p1[0])
-    d2 = e[0] * (q2[:, 1] - p1[1]) - e[1] * (q2[:, 0] - p1[0])
-    d3 = f[:, 0] * (p1[1] - q1[:, 1]) - f[:, 1] * (p1[0] - q1[:, 0])
-    d4 = f[:, 0] * (p2[1] - q1[:, 1]) - f[:, 1] * (p2[0] - q1[:, 0])
-    return bool(np.any((d1 * d2 < 0) & (d3 * d4 < 0)))
-
-
-def _polyline_self_intersects(pts):
-    """Whether two non-adjacent edges of closed polyline ``pts`` cross."""
-    n = len(pts)
-    b = np.roll(pts, -1, axis=0)
-    # Edge i meets edges i+1 and i-1 at shared vertices; skip those.
-    return any(_edge_crosses(pts[i], b[i], pts[i + 2:n - (i == 0)],
-                             b[i + 2:n - (i == 0)]) for i in range(n))
-
-
-def _polylines_cross(pa, pb):
-    """Whether an edge of closed polyline ``pa`` crosses one of ``pb``."""
-    a2, b2 = np.roll(pa, -1, axis=0), np.roll(pb, -1, axis=0)
-    return any(_edge_crosses(pa[i], a2[i], pb, b2) for i in range(len(pa)))
+def _crossing_loops(polys):
+    """The least loop pair (k, l), k <= l, in which an edge of closed
+    polyline k crosses one of l, or None.  Two edges cross when each has its
+    ends strictly on opposite sides of the other's line; a shared vertex
+    lies exactly on both, and touching is not crossing.  With all edges
+    sorted by left end, an edge's candidates are the run after it that
+    starts within its x-range, expanded CROSSING_BLOCK pairs at a time so
+    that many long edges over one x-range cannot allocate every pair."""
+    n = len(polys)
+    a = np.concatenate(polys)
+    b = np.concatenate([np.roll(p, -1, axis=0) for p in polys])
+    order = np.argsort(np.minimum(a[:, 0], b[:, 0]))
+    a, b = a[order].T, b[order].T
+    loop = np.repeat(np.arange(n), [len(p) for p in polys])[order]
+    n_cand = np.searchsorted(np.minimum(a[0], b[0]), np.maximum(a[0], b[0]),
+                             side="right") - np.arange(1, len(order) + 1)
+    ends = np.cumsum(n_cand)
+    least = n * n
+    for lo in range(0, int(ends[-1]), CROSSING_BLOCK):
+        pair = np.arange(lo, min(lo + CROSSING_BLOCK, int(ends[-1])))
+        i = np.searchsorted(ends, pair, side="right")
+        j = i + 1 + pair - (ends[i] - n_cand[i])
+        e, f = b[:, i] - a[:, i], b[:, j] - a[:, j]
+        hit = (_cross(e, a[:, j] - a[:, i]) * _cross(e, b[:, j] - a[:, i]) < 0) \
+            & (_cross(f, a[:, i] - a[:, j]) * _cross(f, b[:, i] - a[:, j]) < 0)
+        key = np.minimum(loop[i], loop[j]) * n + np.maximum(loop[i], loop[j])
+        least = min(least, int(key[hit].min(initial=least)))
+    return None if least == n * n else divmod(least, n)
 
 
 class DomainSpec:
-    """Validated planar domain: outer loop first, then hole loops.
+    """Validated planar domain: outer loop first, then hole loops.  No two
+    edges of the loops' polylines cross (``_crossing_loops``), and each hole
+    lies inside the outer loop and outside the others (``_loops_contain``).
 
     Its invariants are computed once, on construction, and read as plain
     attributes: ``corners`` (see ``detect_corners``), ``chi`` (1 minus the
@@ -425,22 +428,20 @@ class DomainSpec:
             if a >= 0:
                 raise InvalidDomainError(f"hole loop {i} must be clockwise")
 
-        # Simplicity and containment are checked on sampled polylines.
-        polys = [lp.polyline() for lp in self.loops]
-        for i, poly in enumerate(polys):
-            if _polyline_self_intersects(poly):
-                raise InvalidDomainError(f"loop {i} self-intersects")
-        outer = polys[0]
-        for i, poly in enumerate(polys[1:], start=1):
-            if not np.all(_polygon_contains(outer, poly)):
-                raise InvalidDomainError(f"hole loop {i} is not inside the outer loop")
-            if _polylines_cross(outer, poly):
-                raise InvalidDomainError(f"hole loop {i} crosses the outer loop")
+        # Each loop as a closed polyline: line ends, 64 chords per arc or curve.
+        polys = [np.concatenate([s.sample(1 if s.kind == "line" else 64)[:-1]
+                                 for s in lp.segments]) for lp in self.loops]
+        crossing = _crossing_loops(polys)
+        if crossing is not None:
+            k, l = crossing
+            raise InvalidDomainError(
+                f"loop {k} self-intersects" if k == l else
+                f"hole loop {l} crosses the outer loop" if k == 0 else
+                f"hole loops {k} and {l} overlap")
         for i in range(1, len(polys)):
-            for j in range(i + 1, len(polys)):
-                if np.any(_polygon_contains(polys[i], polys[j])) or \
-                        _polylines_cross(polys[i], polys[j]):
-                    raise InvalidDomainError(f"hole loops {i} and {j} overlap")
+            if not _loops_contain(polys[:i] + polys[i + 1:], polys[i]).all():
+                raise InvalidDomainError(f"hole loop {i} is not inside the "
+                                         "outer loop and outside the other holes")
 
         self.corners = detect_corners(self.loops)
         self.chi = 2 - len(self.loops)
@@ -449,8 +450,7 @@ class DomainSpec:
                              for lp in self.loops)
         self.curvature_integral = sum(
             sum(s.turning_integral for s in lp.segments) for lp in self.loops)
-        lo, hi = polys[0].min(axis=0), polys[0].max(axis=0)
-        self.diameter = float(np.linalg.norm(hi - lo))
+        self.diameter = float(np.linalg.norm(np.ptp(polys[0], axis=0)))
         self._polylines = polys
 
 

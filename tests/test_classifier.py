@@ -186,6 +186,8 @@ EXACT_FAMILIES = {
     "disk": (lambda c: disk_spectrum(1.0, c), []),
     "half-disk": (lambda c: sector_spectrum(PI, 1.0, c), [PI / 2] * 2),
     "quarter-disk": (lambda c: sector_spectrum(PI / 2, 1.0, c), [PI / 2] * 3),
+    "sector-270": (lambda c: sector_spectrum(3 * PI / 2, 1.0, c),
+                   [PI / 2, PI / 2, 3 * PI / 2]),
 }
 SWEEP = [(family, cutoff) for family in EXACT_FAMILIES
          for cutoff in (5e3, 2e4, 1e5, 4e5)]

@@ -286,19 +286,27 @@ def test_usage_errors_exit_1(argv, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("option, value", [
-    ("--cutoff", "-5"), ("--cutoff", "nan"), ("--cutoff", "inf"),
-    ("--h", "0"), ("--h", "nan"), ("--decision-z", "-1"),
-    ("--decision-z", "nan"), ("--count", "0"), ("--chi", "2"),
-])
-def test_bad_option_values_are_usage_errors(tmp_path, domain_file, option,
-                                            value, capsys):
-    # Each used to end in a traceback or, for --decision-z -1, in the
-    # smooth disk's has_corners verdict (exit 10).
-    disk = domain_file(make_disk(), "disk")
+BAD_VALUES = [
+    ("classify", "--cutoff", "-5"), ("classify", "--cutoff", "nan"),
+    ("classify", "--cutoff", "inf"), ("classify", "--h", "0"),
+    ("classify", "--h", "nan"), ("classify", "--decision-z", "-1"),
+    ("classify", "--decision-z", "nan"), ("classify", "--count", "0"),
+    ("classify", "--chi", "2"), ("spectrum", "--seed", "-1"),
+    ("verify", "--seed", "-1"),
+]
+
+
+@pytest.mark.parametrize("command, option, value", BAD_VALUES, ids=[
+    f"{o}-{v}" if c == "classify" else f"{c}-{o}-{v}" for c, o, v in BAD_VALUES])
+def test_bad_option_values_are_usage_errors(tmp_path, domain_file, command,
+                                            option, value, capsys):
+    # Each used to end in a traceback, for --decision-z -1 in the smooth
+    # disk's has_corners verdict (exit 10), and for verify --seed -1 in a
+    # failed corpus row.
+    source = ["--skip-fem"] if command == "verify" \
+        else ["--domain", domain_file(make_disk(), "disk")]
     with pytest.raises(SystemExit) as exc:
-        main(["classify", "--domain", disk, option, value,
-              "--out", str(tmp_path)])
+        main([command, *source, option, value, "--out", str(tmp_path)])
     assert exc.value.code == 1
     err = capsys.readouterr().err
     assert f"argument {option}: expected a finite" in err

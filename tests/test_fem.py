@@ -12,6 +12,7 @@ from drumspec.analytic_spectra import (
     disk_spectrum,
     equilateral_triangle_spectrum,
     rectangle_spectrum,
+    sector_spectrum,
 )
 from drumspec.corpus import ISOSPECTRAL_PAIR
 from drumspec.errors import AssemblyError, EigensolveError, MeshError
@@ -38,6 +39,7 @@ from drumspec.geometry import (
     make_lshape,
     make_polygon,
     make_rectangle,
+    make_sector,
     make_square,
     make_square_with_square_hole,
     save_domain,
@@ -356,6 +358,15 @@ class TestEigenvalues:
         spec = fem_spectrum(make_square(), 0.04, 10)
         exact = rectangle_spectrum(1.0, 1.0, 1000.0)
         assert np.all(spec.eigenvalues[:10] >= exact.eigenvalues[:10] - 1e-9)
+
+    def test_reentrant_sector_against_exact(self):
+        # The chord polygon lies inside the 270-degree sector, so the P1
+        # eigenvalues are upper bounds; they sit 2.1e-3 to 2.1e-2 above.
+        spec = fem_spectrum(make_sector(3 * PI / 2), 0.05, 20)
+        exact = sector_spectrum(3 * PI / 2, 1.0, 400.0).eigenvalues[:20]
+        rel = spec.eigenvalues[:20] / exact - 1.0
+        assert np.all(rel > 0.0)
+        assert np.all(rel <= 3e-2)
 
     def test_rayleigh_quotient_dominates_ground_state(self, square_mesh):
         ops = assemble(square_mesh)

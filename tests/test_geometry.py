@@ -11,10 +11,9 @@ from drumspec.geometry import (
     CurveSegment,
     DomainSpec,
     LineSegment,
+    _crossing_loops,
     _loops_contain,
     _polygon_contains,
-    _polyline_self_intersects,
-    _polylines_cross,
     gauss_bonnet_check,
     load_domain,
     make_disk,
@@ -308,6 +307,22 @@ class TestValidation:
         with pytest.raises(InvalidDomainError, match="hole loops 1 and 2"):
             DomainSpec([outer, across, upright])
 
+    @staticmethod
+    def nested_holes():
+        """A 4x4 square with a 2x2 hole at (1, 1) and, inside that hole, a
+        0.5 hole at (1.5, 1.5): outer loop, big hole, small hole."""
+        return [[(0, 0), (4, 0), (4, 4), (0, 4)],
+                [(1, 1), (1, 3), (3, 3), (3, 1)],
+                [(1.5, 1.5), (1.5, 2), (2, 2), (2, 1.5)]]
+
+    @pytest.mark.parametrize("order", [(0, 1, 2), (0, 2, 1)],
+                             ids=["big-first", "small-first"])
+    def test_nested_holes_rejected(self, order):
+        # Small first used to pass, as a domain with chi -1 and area 11.75.
+        loops = self.nested_holes()
+        with pytest.raises(InvalidDomainError, match="is not inside"):
+            DomainSpec([self.loop(loops[i]) for i in order])
+
     def test_outer_loop_must_be_ccw(self):
         pts = [(0, 0), (0, 1), (1, 1), (1, 0)]  # clockwise
         segs = [LineSegment(pts[i], pts[(i + 1) % 4]) for i in range(4)]
@@ -371,6 +386,17 @@ class TestDomainFiles:
         with pytest.raises(DomainFileError, match="loop 0"):
             load_domain(path)
 
+    def test_nested_holes_rejected(self, tmp_path):
+        import yaml
+
+        outer, big, small = TestValidation.nested_holes()
+        path = tmp_path / "nested.dom"
+        path.write_text(yaml.safe_dump({"schema": 1, "label": "nested", "loops": [
+            {"segments": [s.to_dict() for s in TestValidation.loop(pts)]}
+            for pts in (outer, small, big)]}))
+        with pytest.raises(DomainFileError, match="hole loop 1 is not inside"):
+            load_domain(path)
+
 
 def polygon_contains_per_edge(poly, points):
     """Crossing-number test, one edge at a time: the reference that the
@@ -402,8 +428,8 @@ def adversarial_points(poly, rng):
 
 def polylines_cross_per_pair(pa, pb, self_check=False):
     """Strict crossing test, one pair of edges at a time: the reference that
-    the row-vectorised crossing routines must match.  With ``self_check``
-    pb is pa and edges that share a vertex are skipped."""
+    the crossing sweep must match.  With ``self_check`` pb is pa and edges
+    that share a vertex are skipped."""
     def cross(u, v):
         return u[0] * v[1] - u[1] * v[0]
 
@@ -421,32 +447,53 @@ def polylines_cross_per_pair(pa, pb, self_check=False):
     return False
 
 
+def crossing_loops_per_pair(polys):
+    """The least loop pair (k, l), k <= l, whose polylines cross by
+    polylines_cross_per_pair, or None."""
+    return next(((k, l) for k in range(len(polys))
+                 for l in range(k, len(polys))
+                 if polylines_cross_per_pair(polys[k], polys[l],
+                                             self_check=k == l)), None)
+
+
+def random_polylines(rng):
+    """Three small random closed polylines, shifted apart by up to about
+    their size."""
+    return [rng.uniform(size=(rng.integers(3, 10), 2))
+            + rng.uniform(-1.2, 1.2, size=2) for _ in range(3)]
+
+
 class TestCrossing:
     def test_matches_per_pair_reference(self):
         rng = np.random.default_rng(9)
         seen = set()
         for _ in range(300):
-            pa = rng.uniform(size=(rng.integers(3, 10), 2))
-            pb = rng.uniform(size=(rng.integers(3, 10), 2)) \
-                + rng.uniform(-1.2, 1.2, size=2)
-            for got, want in [
-                    (_polylines_cross(pa, pb), polylines_cross_per_pair(pa, pb)),
-                    (_polyline_self_intersects(pa),
-                     polylines_cross_per_pair(pa, pa, self_check=True))]:
-                assert got == want
-                seen.add(got)
-        assert seen == {True, False}
+            polys = random_polylines(rng)
+            got = _crossing_loops(polys)
+            assert got == crossing_loops_per_pair(polys)
+            seen.add(got)
+        assert {None, (0, 0), (0, 1), (1, 2)} <= seen
+
+    def test_blocks_of_a_few_pairs_agree(self, monkeypatch):
+        from drumspec import geometry
+
+        rng = np.random.default_rng(10)
+        cases = [random_polylines(rng) for _ in range(100)]
+        whole = [_crossing_loops(polys) for polys in cases]
+        monkeypatch.setattr(geometry, "CROSSING_BLOCK", 3)
+        assert [_crossing_loops(polys) for polys in cases] == whole
+        assert [crossing_loops_per_pair(polys) for polys in cases] == whole
 
     def test_touching_is_not_crossing(self):
         poly = make_lshape()._polylines[0]
-        assert not _polylines_cross(poly, poly)
-        assert not _polylines_cross(poly, poly[::-1])
-        assert not _polyline_self_intersects(poly)
+        assert _crossing_loops([poly]) is None
+        assert _crossing_loops([poly, poly]) is None
+        assert _crossing_loops([poly, poly[::-1]]) is None
         # A vertex on the interior of the other polyline's edge.
         square = np.array([[0, 0], [2, 0], [2, 2], [0, 2]], dtype=float)
         touching = np.array([[1, 0], [1.5, 1], [0.5, 1]], dtype=float)
-        assert not _polylines_cross(square, touching)
-        assert not _polylines_cross(touching, square)
+        assert _crossing_loops([square, touching]) is None
+        assert _crossing_loops([touching, square]) is None
 
 
 class TestContainment:
