@@ -3,11 +3,11 @@
 Every generator returns the complete list of eigenvalues up to a cutoff,
 with multiplicity, which is what heat-trace tails require.  Bessel zeros are
 computed for all orders of a spectrum at once, by bracketing sign changes of
-J_nu on a uniform grid that starts just below the first zero and refining
-every bracket with Brent's method, rather than relying on any library zero
-routine.  scipy evaluates J_nu only at orders below 2; higher orders are
-reached by forward recurrence in the order, stable because the zero finder
-evaluates J_nu only at x > nu.
+J_nu on a uniform grid of step 3 pi/4 that starts just below the first zero
+and refining every bracket with safeguarded Newton steps, rather than
+relying on any library zero routine.  scipy evaluates J_nu only at orders
+below 2; higher orders, and the derivative, come from forward recurrence in
+the order, stable because the zero finder evaluates J_nu only at x > nu.
 """
 
 import math
@@ -31,10 +31,15 @@ class Spectrum:
         if lam.size == 0:
             raise EmptySpectrumError(
                 f"no eigenvalues at or below cutoff {cutoff:g}")
-        if np.any(lam <= 0):
-            raise ValueError("eigenvalues must be positive")
+        if not np.all((lam > 0) & (lam < math.inf)):
+            raise ValueError("eigenvalues must be finite and positive")
         if np.any(np.diff(lam) < 0):
             raise ValueError("eigenvalues must be ascending")
+        for name, value in (("cutoff", cutoff), ("area_hint", area_hint),
+                            ("perimeter_hint", perimeter_hint)):
+            if value is not None and not 0 < value < math.inf:
+                raise ValueError(f"{name} must be finite and positive, "
+                                 f"got {value!r}")
         self.eigenvalues = lam
         self.cutoff = float(cutoff)
         self.source = str(source)
@@ -123,14 +128,16 @@ def _mcmahon(nu, k):
 
 
 def _jv(nu, x, lo, hi):
-    """J_nu(x) elementwise.  With m = floor(nu), scipy's ``jv`` gives J at
-    the orders nu - m and nu - m + 1, both below 2, where it is cheap; the
-    recurrence J_{k+1} = (2k/x) J_k - J_{k-1} climbs the other m - 1 rungs
-    of every lane at once, with the lanes sorted by m so that those still
-    climbing form a prefix.  It is stable upward only while x > nu
-    (Gautschi, SIAM Rev. 9, 1967): a lane with m >= 2 at x <= nu, like a
-    non-finite value, raises NumericError naming the order and the bracket
-    [lo, hi] it was evaluated for."""
+    """J_nu(x) and J_nu'(x) elementwise.  With m = floor(nu), scipy's ``jv``
+    gives J at the orders nu - m and nu - m + 1, both below 2, where it is
+    cheap; the recurrence J_{k+1} = (2k/x) J_k - J_{k-1} climbs the other
+    m - 1 rungs of every lane at once, with the lanes sorted by m so that
+    those still climbing form a prefix.  The rung beside J_nu gives the
+    derivative: J_nu' = J_{nu-1} - (nu/x) J_nu once the ladder has climbed
+    (m >= 1), J_nu' = (nu/x) J_nu - J_{nu+1} at m = 0.  The recurrence is
+    stable upward only while x > nu (Gautschi, SIAM Rev. 9, 1967): a lane
+    with m >= 2 at x <= nu, like a non-finite value, raises NumericError
+    naming the order and the bracket [lo, hi] it was evaluated for."""
     m = np.floor(nu)
     below = (m >= 2) & (x <= nu)
     if below.any():
@@ -150,76 +157,50 @@ def _jv(nu, x, lo, hi):
     for j, n in enumerate(climbing.tolist(), start=1):
         older, newer = ladder[(j + 1) % 2], ladder[j % 2]
         older[:n] = (twice[:n] + 2 * j) / xs[:n] * newer[:n] - older[:n]
-    vals = np.empty_like(xs)
-    vals[perm] = np.where(rungs % 2 == 0, *ladder)
-    bad = ~np.isfinite(vals)
+    even = rungs % 2 == 0
+    vals, other = np.empty_like(xs), np.empty_like(xs)
+    vals[perm] = np.where(even, *ladder)
+    other[perm] = np.where(even, ladder[1], ladder[0])
+    ratio = nu / x
+    deriv = np.where(m >= 1, other - ratio * vals, ratio * vals - other)
+    bad = ~(np.isfinite(vals) & np.isfinite(deriv))
     if bad.any():
         i = int(np.argmax(bad))
         raise NumericError(
-            f"J_{nu[i]:g} evaluation returned {vals[i]} at x={x[i]:.17g} "
-            f"in [{lo[i]:.6g}, {hi[i]:.6g}]")
-    return vals
+            f"J_{nu[i]:g} evaluation returned {vals[i]}, {deriv[i]} at "
+            f"x={x[i]:.17g} in [{lo[i]:.6g}, {hi[i]:.6g}]")
+    return vals, deriv
 
 
-def _brentq_lanes(nu, a, b, fa, fb):
-    """Zeros of J_nu in the brackets [a, b], one lane per bracket.
+def _newton_lanes(nu, lo, hi, flo):
+    """Zeros of J_nu in the brackets [lo, hi], one lane per bracket, where
+    J_nu(lo) = flo is nonzero and J_nu(hi) has the opposite sign.
 
-    A lane-parallel port of scipy's ``brentq.c`` with xtol=1e-300,
-    rtol=BESSEL_RTOL and 200 iterations: every lane runs the same floating
-    point operations in the same order as a scalar ``brentq`` call would,
-    starting from the known end values (fa nonzero; fb of the opposite
-    sign, or zero, which returns b), so the zeros are the same doubles.
-    Each iteration makes one J_nu call over the lanes still active.
+    Every lane starts at its bracket's midpoint, and every evaluation
+    narrows the bracket by the sign of J_nu there.  A Newton step that
+    leaves the bracket becomes a bisection; so does a non-finite one where
+    J_nu' = 0, since a bracket of 3 pi/4 may hold an extremum.  A lane
+    stops once its Newton step is at most BESSEL_RTOL x and returns the
+    Newton iterate, which is x itself where J_nu(x) = 0.  Each iteration
+    makes one ``_jv`` call over the lanes still active.
     """
-    xtol, rtol = 1e-300, BESSEL_RTOL
-    root = np.empty(a.size)
-    live, lo, hi = np.arange(a.size), a, b
-    xpre, xcur, fpre, fcur = a, b, fa, fb
-    xblk = fblk = spre = scur = np.zeros(a.size)
-    for _ in range(200):
-        flip = (fpre != 0) & (fcur != 0) & (np.signbit(fpre) != np.signbit(fcur))
-        xblk = np.where(flip, xpre, xblk)
-        fblk = np.where(flip, fpre, fblk)
-        spre = np.where(flip, xcur - xpre, spre)
-        scur = np.where(flip, xcur - xpre, scur)
-        swap = np.abs(fblk) < np.abs(fcur)
-        xpre, xcur, xblk = (np.where(swap, xcur, xpre), np.where(swap, xblk, xcur),
-                            np.where(swap, xcur, xblk))
-        fpre, fcur, fblk = (np.where(swap, fcur, fpre), np.where(swap, fblk, fcur),
-                            np.where(swap, fcur, fblk))
-
-        delta = (xtol + rtol * np.abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        conv = (fcur == 0) | (np.abs(sbis) < delta)
-        if conv.any():
-            root[live[conv]] = xcur[conv]
-            (live, nu, lo, hi, xpre, xcur, xblk, fpre, fcur, fblk, spre, scur,
-             delta, sbis) = (v[~conv] for v in (
-                live, nu, lo, hi, xpre, xcur, xblk, fpre, fcur, fblk, spre, scur,
-                delta, sbis))
+    root = np.empty(nu.size)
+    live, neg, x = np.arange(nu.size), np.signbit(flo), 0.5 * (lo + hi)
+    for _ in range(100):
+        f, df = _jv(nu, x, lo, hi)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            newton = x - f / df
+        done = np.abs(newton - x) <= BESSEL_RTOL * x
+        root[live[done]] = newton[done]
+        left = np.signbit(f) == neg
+        lo, hi = np.where(left, x, lo), np.where(left, hi, x)
+        x = np.where((lo < newton) & (newton < hi), newton, 0.5 * (lo + hi))
+        live, nu, lo, hi, neg, x = (v[~done] for v in (live, nu, lo, hi, neg, x))
         if live.size == 0:
             return root
-
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            # interpolate (secant) where xpre == xblk, else extrapolate
-            # (inverse quadratic)
-            s_int = -fcur * (xcur - xpre) / (fcur - fpre)
-            dpre = (fpre - fcur) / (xpre - xcur)
-            dblk = (fblk - fcur) / (xblk - xcur)
-            s_ext = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-        stry = np.where(xpre == xblk, s_int, s_ext)
-        good = ((np.abs(spre) > delta) & (np.abs(fcur) < np.abs(fpre))
-                & (2 * np.abs(stry) < np.minimum(np.abs(spre), 3 * np.abs(sbis) - delta)))
-        spre = np.where(good, scur, sbis)
-        scur = np.where(good, stry, sbis)
-
-        xpre, fpre = xcur, fcur
-        xcur = xcur + np.where(np.abs(scur) > delta, scur,
-                               np.where(sbis > 0, delta, -delta))
-        fcur = _jv(nu, xcur, lo, hi)
     raise NumericError(
         f"Bessel zero refinement failed for nu={nu[0]:g} in "
-        f"[{lo[0]:.6g}, {hi[0]:.6g}]: no convergence in 200 iterations")
+        f"[{lo[0]:.6g}, {hi[0]:.6g}]: no convergence in 100 iterations")
 
 
 def bessel_j_zeros(orders, upper):
@@ -227,32 +208,32 @@ def bessel_j_zeros(orders, upper):
     ``orders``, to ~1e-12 relative, as one flat array: order by order, as
     given, and ascending within each order.
 
-    J_nu is scanned on a uniform grid of spacing pi/4 that starts just
-    below its first zero (nu + 1.85 nu^(1/3)) and ends past ``upper``; the
-    grids of all orders are concatenated.  Consecutive zeros are more than
-    3.11 apart for every nu >= 0 (slightly less than pi below nu = 1/2,
-    e.g. j_{0,2} - j_{0,1} = 3.1153; more than pi above it), so an interval
-    of three grid steps (3 pi/4) holds at most one zero: J_nu is evaluated
-    on every third node and on the last one, and each sign change is
-    narrowed to its grid step with at most two more evaluations.  All
-    brackets of all orders are refined at once by Brent's method.
+    J_nu is scanned on a uniform grid of spacing 3 pi/4 that starts just
+    below its first zero (nu + 1.85 nu^(1/3)) and ends more than a step
+    past ``upper``; the grids of all orders are concatenated.  Consecutive
+    zeros are more than 3.11 apart for every nu >= 0 (slightly less than pi
+    below nu = 1/2, e.g. j_{0,2} - j_{0,1} = 3.1153; more than pi above
+    it), so a grid step holds at most one zero, and each sign change
+    between neighbouring nodes of one order brackets exactly one.  All
+    brackets of all orders are refined at once by safeguarded Newton steps.
 
-    The scan, the narrowing and Brent's method all evaluate J_nu by
-    ``_jv``'s forward recurrence from orders below 2, stable only for
-    x > nu.  That holds: the grid starts at nu + 1.5 nu^(1/3) - 1 > nu for
-    every nu >= 1 (orders below 2 never recur), and every bracket lies
-    inside the grid.
+    The scan and the refinement evaluate J_nu and J_nu' by ``_jv``'s
+    forward recurrence from orders below 2, stable only for x > nu.  That
+    holds: the grid starts at nu + 1.5 nu^(1/3) - 1 > nu for every nu >= 1
+    (orders below 2 never recur), and every iterate lies inside its bracket.
     """
     orders = np.asarray(orders, dtype=float)
     if np.any(orders < 0):
         raise ValueError("order must be nonnegative")
-    step = math.pi / 4.0
+    step = 0.75 * math.pi
     grids = []
     for nu in orders.tolist():
         if upper <= nu:
             grids.append(np.empty(0))
             continue
-        # The first zero exceeds nu + 1.85 nu^(1/3); start scanning slightly below.
+        # The first zero exceeds nu + 1.85 nu^(1/3); start scanning slightly
+        # below.  Two steps of margin keep rounding from dropping the node
+        # that brackets a zero just below upper.
         lo = max(nu + 1.5 * nu ** (1.0 / 3.0) - 1.0, 1e-3) if nu > 0 else 1.0
         grids.append(np.arange(lo, upper + 2 * step, step))
     sizes = np.array([g.size for g in grids], dtype=np.int64)
@@ -260,31 +241,10 @@ def bessel_j_zeros(orders, upper):
     order = np.repeat(np.arange(orders.size), sizes)
     nu = orders[order]
     first = np.cumsum(sizes) - sizes
-    last = first + sizes - 1
-    node = np.arange(x.size) - first[order]
-    coarse = np.flatnonzero((node % 3 == 0) | (node == sizes[order] - 1))
-
-    # J_nu on the coarse nodes; a sign change between neighbours of one
-    # order brackets exactly one zero.
-    f = np.full(x.size, np.nan)
-    f[coarse] = _jv(nu[coarse], x[coarse], x[first[order[coarse]]],
-                    x[last[order[coarse]]])
-    c0, c1 = coarse[:-1], coarse[1:]
-    change = (order[c0] == order[c1]) & (np.sign(f[c0]) * np.sign(f[c1]) < 0)
-    c0, c1 = c0[change], c1[change]
-
-    # Narrow to the first grid step whose right end leaves the sign of f[c0].
-    right = c0 + 1
-    moving = right < c1
-    while moving.any():
-        r = right[moving]
-        f[r] = _jv(nu[r], x[r], x[c0[moving]], x[c1[moving]])
-        moving[moving] = np.sign(f[r]) == np.sign(f[c0[moving]])
-        right[moving] += 1
-        moving &= right < c1
-    left = right - 1
-
-    zeros = _brentq_lanes(nu[left], x[left], x[right], f[left], f[right])
+    f = _jv(nu, x, x[first[order]], x[first[order] + sizes[order] - 1])[0]
+    left = np.flatnonzero((order[:-1] == order[1:])
+                          & (np.sign(f[:-1]) * np.sign(f[1:]) < 0))
+    zeros = _newton_lanes(nu[left], x[left], x[left + 1], f[left])
     inside = zeros <= upper
     zeros, lane_order = zeros[inside], order[left][inside]
 

@@ -62,8 +62,12 @@ def decide_from_estimate(a0, sigma, chi=1, decision_z=DEFAULT_DECISION_Z):
     most SMOOTH_RESOLUTION, indeterminate otherwise (a band too wide to
     rule out a right angle, or an estimate significantly below chi/6, which
     is consistent with neither branch of the dichotomy).  A zero sigma
-    counts as the smallest positive float.
+    counts as the smallest positive float; a z that is not finite and
+    positive is a ValueError.
     """
+    if not 0 < decision_z < math.inf:
+        raise ValueError(
+            f"decision_z must be finite and positive, got {decision_z!r}")
     if sigma <= 0:
         sigma = np.finfo(float).tiny
     margin = (a0 - chi / 6.0) / sigma

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analytic_spectra as spectra
+from .errors import InvalidDomainError
 from .geometry import (
     gauss_bonnet_check,
     make_disk,
@@ -80,7 +81,11 @@ EXACT_SEGMENT_DOMAINS = {ref.label: ref.build for ref in REFERENCE_DOMAINS} | {
 }
 
 
-def random_star_polygon(rng, n_min=3, n_max=12):
+# Vertex counts of the random star polygons.
+STAR_MIN_SIDES, STAR_MAX_SIDES = 3, 12
+
+
+def random_star_polygon(rng):
     """Random simple polygon, star-shaped about the origin.
 
     Convex and nonconvex vertices both occur (radii vary by up to 3x);
@@ -88,7 +93,7 @@ def random_star_polygon(rng, n_min=3, n_max=12):
     cusp or slit.
     """
     for _ in range(100):
-        n = int(rng.integers(n_min, n_max + 1))
+        n = int(rng.integers(STAR_MIN_SIDES, STAR_MAX_SIDES + 1))
         angles = np.sort(rng.uniform(0.0, 2 * PI, size=n))
         gaps = np.diff(np.concatenate([angles, [angles[0] + 2 * PI]]))
         if gaps.min() < 0.8 / n:
@@ -97,7 +102,7 @@ def random_star_polygon(rng, n_min=3, n_max=12):
         pts = np.stack([radii * np.cos(angles), radii * np.sin(angles)], axis=1)
         try:
             return make_polygon(pts, label=f"random-{n}-gon")
-        except Exception:
+        except InvalidDomainError:
             continue
     raise RuntimeError("failed to draw a valid random polygon")
 

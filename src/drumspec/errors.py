@@ -50,4 +50,4 @@ class FitError(DrumspecError):
 
 
 class ConsistencyError(DrumspecError):
-    """Two independent computation routes disagree; signals an internal bug."""
+    """A geometric identity fails beyond rounding; signals an internal bug."""

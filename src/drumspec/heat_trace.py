@@ -2,9 +2,10 @@
 
 The trace h(t) = sum(exp(-lambda_k t)) is evaluated from a finite spectrum
 with an explicit truncation tail bound.  The constant coefficient of the
-short-time expansion is computed from geometry along two independent routes
-(curvature integral + per-corner defects vs. Euler characteristic + corner
-angles) that must agree to machine accuracy; a disagreement signals a bug in
+short-time expansion is computed from the Euler characteristic and the
+corner angles.  Summing the curvature integral and the per-corner defects
+instead gives the same value exactly when the domain satisfies
+Gauss-Bonnet, so its residual is checked once; a violation signals a bug in
 the geometry layer, not a numerical tolerance issue.
 """
 
@@ -14,13 +15,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConsistencyError, EmptySpectrumError
+from .geometry import gauss_bonnet_check
 from .reporting import read_table, write_table
 
 PI = math.pi
 
 DEFAULT_TAIL_SAFETY = 2.0
 
-# Agreement required between the two a0 computation routes.
+# Largest a0 shift a Gauss-Bonnet residual may cause: the curvature route to
+# a0 exceeds the Euler route by exactly the residual / (12 pi).
 A0_ROUTE_TOL = 1e-10
 
 
@@ -52,7 +55,6 @@ class TheoreticalCoefficients:
     a_minus1: float
     a_minus_half: float
     a0: float
-    curvature_term: float          # (1/12 pi) * integral of k over smooth part
     corner_thetas: list = field(default_factory=list)
     chi: int = 1
 
@@ -62,33 +64,29 @@ class TheoreticalCoefficients:
 
 
 def theoretical_coefficients(domain):
-    """a_{-1}, a_{-1/2} from area/perimeter; a0 via two independent routes.
+    """a_{-1}, a_{-1/2} from area and perimeter; a0 from the Euler
+    characteristic and the corner angles.
 
-    Route 1 integrates the geodesic curvature of the smooth boundary and adds
-    each corner's local defect.  Route 2 uses only the Euler characteristic
-    and the corner angles (valid for curved edges as well, since the
-    curvature integral always equals sum(theta_j) + pi(2 chi - n)).
+    The curvature route -- the integral of the geodesic curvature of the
+    smooth boundary over 12 pi plus each corner's local defect -- differs
+    from this a0 by exactly the Gauss-Bonnet residual (integral of k minus
+    sum(theta_j) - pi (2 chi - n)) over 12 pi, so that residual is the one
+    check, and a violation raises ConsistencyError.
     """
-    thetas = [c.theta for c in domain.corners]
-    terms = [corner_term(t) for t in thetas]
-    curv = domain.curvature_integral
-    chi = domain.chi
-
-    a0_curvature = curv / (12.0 * PI) + sum(terms)
-    a0_euler = chi / 6.0 + sum(corner_term_with_turn(t) - 1.0 / 12.0 for t in thetas)
-    if abs(a0_curvature - a0_euler) > A0_ROUTE_TOL:
+    residual = gauss_bonnet_check(domain)
+    if residual > 12.0 * PI * A0_ROUTE_TOL:
         raise ConsistencyError(
-            f"a0 routes disagree: curvature route {a0_curvature!r} vs "
-            f"Euler route {a0_euler!r} (domain {domain.label!r}); "
-            "geometry invariants are broken")
-
+            f"Gauss-Bonnet residual {residual!r} moves a0 by more than "
+            f"{A0_ROUTE_TOL:g} (domain {domain.label!r}); geometry invariants "
+            "are broken")
+    thetas = [c.theta for c in domain.corners]
     return TheoreticalCoefficients(
         a_minus1=domain.area / (4.0 * PI),
         a_minus_half=-domain.perimeter / (8.0 * math.sqrt(PI)),
-        a0=a0_euler,
-        curvature_term=curv / (12.0 * PI),
+        a0=domain.chi / 6.0 + sum(corner_term_with_turn(t) - 1.0 / 12.0
+                                  for t in thetas),
         corner_thetas=thetas,
-        chi=chi,
+        chi=domain.chi,
     )
 
 

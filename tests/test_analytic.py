@@ -71,32 +71,6 @@ def bisection_bessel_zero(nu, k, dps=25):
         raise AssertionError("unreachable")
 
 
-def ladder_jv(nu, x):
-    """Scalar copy of ``_jv`` in Python floats: J at the orders nu - m and
-    nu - m + 1 from ``jv``, then m - 1 recurrence steps, with the same
-    operations in the same order, so the same doubles."""
-    m = math.floor(nu)
-    base = nu - m
-    older, newer = float(jv(base, x)), float(jv(base + 1.0, x))
-    if m == 0:
-        return older
-    twice = 2.0 * base
-    for j in range(1, m):
-        older, newer = newer, (twice + 2 * j) / x * newer - older
-    return newer
-
-
-def recording_ladder(points):
-    """An evaluator for ``scan_brentq_zeros`` on ``ladder_jv`` that appends
-    every (nu, x, J_nu(x)) it computes to ``points``."""
-    def j(nu, x):
-        xs = x.tolist()
-        vals = [ladder_jv(nu, v) for v in xs]
-        points.extend((nu, v, f) for v, f in zip(xs, vals))
-        return np.array(vals)
-    return j
-
-
 def scan_brentq_zeros(nu, upper, j):
     """Reference finder, one order at a time: J_nu = j(nu, x) on the whole
     pi/4 scan grid, then one scalar brentq per sign change."""
@@ -157,19 +131,32 @@ class TestBesselZeros:
         assert bessel_j_zeros([10.0, 5.0], 5.0).size == 0
         assert bessel_j_zeros([], 5.0).size == 0
 
-    def test_all_orders_equal_per_order_scan_and_brentq(self):
-        # The lane port makes the same floating point operations as scalar
-        # brentq on the same evaluator, so the zeros are the same doubles.
-        # The scalar reference runs on ladder_jv, and _jv must give the same
-        # doubles at every point that reference evaluated.
-        points = []
-        j = recording_ladder(points)
+    def test_all_orders_equal_one_order_at_a_time(self):
+        # Every lane of the scan and of the Newton refinement is elementwise,
+        # so a zero does not depend on which other orders share the call.
         for orders, upper in zero_finder_cases():
             expect = np.concatenate([np.empty(0)] + [
-                scan_brentq_zeros(nu, upper, j) for nu in orders])
+                bessel_j_zeros([nu], upper) for nu in orders])
             assert np.array_equal(bessel_j_zeros(orders, upper), expect)
-        nu, x, ref = np.array(points).T
-        assert np.array_equal(analytic_spectra._jv(nu, x, x, x), ref)
+
+    def test_zeros_match_mpmath(self):
+        # 120 zeros of integer and real orders up to 400: the Newton
+        # correction -J_nu(z)/J_nu'(z), evaluated at 30 digits, moves each
+        # zero z by at most 1e-14 relative.
+        import mpmath as mp
+
+        rng = np.random.default_rng(3)
+        orders = np.concatenate([rng.integers(0, 401, 60).astype(float),
+                                 rng.uniform(0.0, 400.0, 60)])
+        sample = []
+        for nu in orders.tolist():
+            zeros = bessel_j_zeros([nu], 640.0)
+            sample.append((nu, zeros[rng.integers(zeros.size)]))
+        with mp.workdps(30):
+            shift = [float(mp.besselj(nu, z) / mp.besselj(nu, z, derivative=1))
+                     for nu, z in ((mp.mpf(n), mp.mpf(z)) for n, z in sample)]
+        z = np.array([z for _, z in sample])
+        assert np.max(np.abs(shift) / z) <= 1e-14
 
     def test_zeros_agree_with_scipy_jv_scan_and_brentq(self):
         for orders, upper in zero_finder_cases():
@@ -190,10 +177,12 @@ class TestBesselZeros:
                              rng.uniform(2.0, 633.0, 300)])
         x = nu + 1.5 * nu ** (1.0 / 3.0) - 1.0 + rng.uniform(0.0, 4.0, nu.size)
         with mp.workdps(30):
-            ref = np.array([float(mp.besselj(mp.mpf(n), mp.mpf(v)))
-                            for n, v in zip(nu.tolist(), x.tolist())])
-        err = np.abs(analytic_spectra._jv(nu, x, x, x) - ref)
-        assert err.max() <= 1e-14
+            ref = np.array([[float(mp.besselj(n, v, derivative=d)) for d in (0, 1)]
+                            for n, v in zip(map(mp.mpf, nu.tolist()),
+                                            map(mp.mpf, x.tolist()))])
+        vals, deriv = analytic_spectra._jv(nu, x, x, x)
+        assert np.abs(vals - ref[:, 0]).max() <= 1e-14
+        assert np.abs(deriv - ref[:, 1]).max() <= 1e-14
 
     def test_recurrence_below_the_order_raises(self):
         nu = np.array([1.5, 7.0, 30.25])
@@ -210,14 +199,13 @@ class TestBesselZeros:
             bessel_j_zeros([2.0], 30.0)
 
     def test_nan_during_refinement_raises(self, monkeypatch):
-        # The scan and the narrowing (at most three evaluations) succeed; a
-        # Brent step fails.
+        # The scan and the first Newton step succeed; the second fails.
         calls = []
         real_jv = analytic_spectra._jv
 
         def flaky(nu, x, lo, hi):
             calls.append(1)
-            if len(calls) > 3:
+            if len(calls) > 2:
                 monkeypatch.setattr(analytic_spectra, "jv",
                                     lambda nu, x: np.full(np.shape(x), np.nan))
             return real_jv(nu, x, lo, hi)
@@ -225,7 +213,20 @@ class TestBesselZeros:
         monkeypatch.setattr(analytic_spectra, "_jv", flaky)
         with pytest.raises(NumericError, match=r"J_2 .* in \["):
             bessel_j_zeros([2.0], 30.0)
-        assert len(calls) == 4
+        assert len(calls) == 3
+
+    def test_refinement_without_convergence_raises(self, monkeypatch):
+        # With J_nu' = 0 every Newton step is infinite and becomes a
+        # bisection, which never reports a small Newton step.
+        real_jv = analytic_spectra._jv
+
+        def flat(nu, x, lo, hi):
+            vals, _ = real_jv(nu, x, lo, hi)
+            return vals, np.zeros_like(vals)
+
+        monkeypatch.setattr(analytic_spectra, "_jv", flat)
+        with pytest.raises(NumericError, match=r"nu=2 in \[.*100 iterations"):
+            bessel_j_zeros([2.0], 30.0)
 
 
 class TestRectangle:

@@ -1,7 +1,8 @@
 """scipy's Bessel J functions are called in one place: the recurrence
-evaluator ``analytic_spectra._jv``.  The zero finder's exact test compares
-the lane port with scalar brentq on that evaluator, which only means
-something if no other code path evaluates J."""
+evaluator ``analytic_spectra._jv``, which gives J_nu and J_nu' together,
+refuses the unstable x <= nu and checks every value for finiteness.  The
+zero finder's stability argument and its tests against mpmath hold for that
+evaluator only, so no other code path may evaluate J."""
 
 import ast
 from pathlib import Path

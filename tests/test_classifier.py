@@ -123,6 +123,14 @@ class TestDecisionRule:
             assert decide_from_estimate(1 / 6 + 4 * sigma, sigma,
                                         decision_z=z)[0] == "has_corners"
 
+    @pytest.mark.parametrize("z", [-1.0, 0.0, math.nan, math.inf])
+    def test_z_must_be_finite_and_positive(self, z):
+        # With z = -1 an a0 below 1/6 would otherwise count as has_corners.
+        with pytest.raises(ValueError, match="decision_z"):
+            decide_from_estimate(0.16, 1e-2, decision_z=z)
+        with pytest.raises(ValueError, match="decision_z"):
+            classify(rectangle_spectrum(1.0, 1.0, 5.0e3), decision_z=z)
+
 
 class TestClassifyPipelines:
     def test_square_has_corners(self):

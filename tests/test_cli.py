@@ -196,6 +196,28 @@ def test_unreadable_spectrum_file_exits_1(tmp_path, text, capsys):
     assert "unreadable spectrum" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("old, new", [
+    ("4,78.956835208714864,1", "4,nan,1"),
+    ("cutoff=5000", "cutoff=nan"),
+    ("cutoff=5000", "cutoff=-5"),
+    ("cutoff=5000", "cutoff=0"),
+    ("cutoff=5000", "cutoff=inf"),
+    ("area_hint=1", "area_hint=0"),
+    ("area_hint=1", "area_hint=-1"),
+    ("perimeter_hint=4", "perimeter_hint=inf"),
+], ids=["nan-eigenvalue", "cutoff-nan", "cutoff-negative", "cutoff-zero",
+        "cutoff-inf", "area-zero", "area-negative", "perimeter-inf"])
+def test_spectrum_file_with_a_bad_value_exits_1(tmp_path, old, new, capsys):
+    path = tmp_path / "bad.spectrum"
+    write_spectrum(rectangle_spectrum(1.0, 1.0, 5.0e3), path)
+    text = path.read_text()
+    assert old in text
+    path.write_text(text.replace(old, new))
+    assert main(["classify", "--spectrum", str(path),
+                 "--out", str(tmp_path)]) == 1
+    assert "unreadable spectrum" in capsys.readouterr().err
+
+
 def test_fem_spectrum_gets_the_library_verdict(tmp_path):
     spec = fem_square_spectrum(tmp_path, t_min_bias=0.01)
     outputs = []

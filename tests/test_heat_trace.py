@@ -7,7 +7,7 @@ from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
 from drumspec.analytic_spectra import disk_spectrum, rectangle_spectrum
-from drumspec.errors import EmptySpectrumError, NumericError
+from drumspec.errors import ConsistencyError, EmptySpectrumError, NumericError
 from drumspec.geometry import (
     make_disk,
     make_ellipse,
@@ -108,9 +108,22 @@ class TestTheoreticalCoefficients:
         assert_allclose(coeffs.a0, 1.0 / 9.0, rtol=1e-13)
 
     def test_quarter_disk(self):
-        coeffs = theoretical_coefficients(make_sector(PI / 2))
-        assert_allclose(coeffs.curvature_term, 1.0 / 24.0, rtol=1e-13)
+        dom = make_sector(PI / 2)
+        coeffs = theoretical_coefficients(dom)
+        # The curvature route: the arc's turning over 12 pi plus the defects.
+        curvature_term = dom.curvature_integral / (12 * PI)
+        assert_allclose(curvature_term, 1.0 / 24.0, rtol=1e-13)
+        assert_allclose(curvature_term + sum(corner_term(c.theta) for c in dom.corners),
+                        coeffs.a0, rtol=1e-13)
         assert_allclose(coeffs.a0, 11.0 / 48.0, rtol=1e-13)
+
+    def test_gauss_bonnet_violation_raises(self):
+        dom = make_sector(PI / 2)
+        dom.curvature_integral += 12 * PI * 2e-10
+        with pytest.raises(ConsistencyError, match="Gauss-Bonnet"):
+            theoretical_coefficients(dom)
+        dom.curvature_integral -= 12 * PI * 1.5e-10
+        theoretical_coefficients(dom)
 
     def test_half_disk(self):
         assert_allclose(theoretical_coefficients(make_sector(PI)).a0,
