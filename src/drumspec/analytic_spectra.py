@@ -8,12 +8,13 @@ and refining every bracket with safeguarded Newton steps, rather than
 relying on any library zero routine.  scipy evaluates J_nu only at orders
 below 2; higher orders, and the derivative, come from forward recurrence in
 the order, stable because the zero finder evaluates J_nu only at x > nu.
+``scipy.special`` is imported inside ``_jv``, so only a process that finds
+Bessel zeros pays for loading it.
 """
 
 import math
 
 import numpy as np
-from scipy.special import jv
 
 from .errors import EmptySpectrumError, NumericError
 from .reporting import read_table, write_table
@@ -138,6 +139,7 @@ def _jv(nu, x, lo, hi):
     stable upward only while x > nu (Gautschi, SIAM Rev. 9, 1967): a lane
     with m >= 2 at x <= nu, like a non-finite value, raises NumericError
     naming the order and the bracket [lo, hi] it was evaluated for."""
+    from scipy.special import jv
     m = np.floor(nu)
     below = (m >= 2) & (x <= nu)
     if below.any():

@@ -34,16 +34,16 @@ The residual gate needs no
 factorisation of M: for P1 triangles diag(M)^-1 M has its eigenvalues in
 [1/2, 2] (Wathen 1987), so sqrt(2) times the residual in the diag(M)^-1
 norm bounds it in the M^-1 norm.
+
+scipy's sparse, spatial and linalg packages are imported inside the
+functions that call them: every drumspec command imports this module, and
+one that never meshes or solves should not pay for loading them.
 """
 
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.linalg import eigh as dense_eigh
-from scipy.sparse.linalg import LinearOperator, eigsh, splu
-from scipy.spatial import Delaunay, cKDTree
 
 from .analytic_spectra import Spectrum
 from .errors import AssemblyError, EigensolveError, MeshError
@@ -96,8 +96,8 @@ class Mesh:
 class DiscreteOperatorPair:
     """Stiffness and mass over interior vertices (Dirichlet eliminated)."""
 
-    stiffness: sp.csr_matrix
-    mass: sp.csr_matrix
+    stiffness: object  # scipy.sparse.csr_matrix
+    mass: object  # scipy.sparse.csr_matrix
     mesh: Mesh
 
 
@@ -198,6 +198,7 @@ def mesh_domain(domain, h):
     hi = boundary.max(axis=0)
     lattice = _hex_lattice(lo, hi, h)
     fans = _corner_fans(reentrant, size_fn, h, diam)
+    from scipy.spatial import cKDTree
     tree = cKDTree(boundary)
 
     def _filter_seeds(pts):
@@ -299,6 +300,7 @@ def mesh_domain(domain, h):
 
 def _triangulate(points, poly_loops):
     """Delaunay triangles of points whose centroids lie in the domain."""
+    from scipy.spatial import Delaunay
     simplices = Delaunay(points).simplices
     return simplices[_loops_contain(poly_loops, points[simplices].mean(axis=1))]
 
@@ -362,8 +364,9 @@ def assemble(mesh):
     me = (np.ones((3, 3)) + np.eye(3))[None, :, :] * (area / 12.0)[:, None, None]
     rows = np.repeat(tris, 3, axis=1).ravel()
     cols = np.tile(tris, (1, 3)).ravel()
-    K = sp.coo_matrix((ke.ravel(), (rows, cols)), shape=(nv, nv)).tocsr()
-    M = sp.coo_matrix((me.ravel(), (rows, cols)), shape=(nv, nv)).tocsr()
+    from scipy.sparse import coo_matrix
+    K = coo_matrix((ke.ravel(), (rows, cols)), shape=(nv, nv)).tocsr()
+    M = coo_matrix((me.ravel(), (rows, cols)), shape=(nv, nv)).tocsr()
     interior = np.nonzero(~mesh.is_boundary)[0]
     if len(interior) == 0:
         raise AssemblyError("no interior vertices; decrease h")
@@ -414,6 +417,7 @@ def _factor_shifted(K, M, sigma):
     below sigma.  One factorisation serves both that count and the
     shift-invert solves.
     """
+    from scipy.sparse.linalg import splu
     try:
         lu = splu((K - sigma * M).tocsc(), permc_spec="MMD_AT_PLUS_A",
                   diag_pivot_thresh=0.0, options={"SymmetricMode": True})
@@ -430,6 +434,7 @@ def _factor_shifted(K, M, sigma):
 def _solve_slice(K, M, lo, hi, modes, v0):
     """The eigenvectors of the ``modes`` eigenvalues that the inertia counts
     place in [lo, hi), by shift-invert Lanczos about the slice midpoint."""
+    from scipy.sparse.linalg import LinearOperator, eigsh
     mid = 0.5 * (lo + hi)
     lu, _ = _factor_shifted(K, M, mid)
     op_inv = LinearOperator(K.shape, matvec=lu.solve, dtype=float)
@@ -476,6 +481,7 @@ def solve_lowest(ops, count, seed=0):
     truncated and its cutoff set by the Weyl pollution rule, so downstream
     heat-trace tails only see trusted modes.
     """
+    from scipy.linalg import eigh as dense_eigh
     K, M = ops.stiffness, ops.mass
     mesh = ops.mesh
     n = K.shape[0]

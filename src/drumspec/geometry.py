@@ -375,17 +375,22 @@ def _crossing_loops(polys):
     polyline k crosses one of l, or None.  Two edges cross when each has its
     ends strictly on opposite sides of the other's line; a shared vertex
     lies exactly on both, and touching is not crossing.  With all edges
-    sorted by left end, an edge's candidates are the run after it that
-    starts within its x-range, expanded CROSSING_BLOCK pairs at a time so
-    that many long edges over one x-range cannot allocate every pair."""
+    sorted by their low end along one axis, an edge's candidates are the run
+    after it that starts within its range on that axis.  The sweep takes the
+    axis, x or y, with fewer candidate pairs, so that edges stacked over one
+    x-range are not all paired, and expands them CROSSING_BLOCK pairs at a
+    time so that many long edges over one range cannot allocate every pair."""
     n = len(polys)
-    a = np.concatenate(polys)
-    b = np.concatenate([np.roll(p, -1, axis=0) for p in polys])
-    order = np.argsort(np.minimum(a[:, 0], b[:, 0]))
-    a, b = a[order].T, b[order].T
+    a = np.concatenate(polys).T
+    b = np.concatenate([np.roll(p, -1, axis=0) for p in polys]).T
+    low, high = np.minimum(a, b), np.maximum(a, b)
+    order = np.argsort(low, axis=1)
+    n_cand = [np.searchsorted(low[k, order[k]], high[k, order[k]], side="right")
+              - np.arange(1, a.shape[1] + 1) for k in (0, 1)]
+    k = int(n_cand[1].sum() < n_cand[0].sum())
+    order, n_cand = order[k], n_cand[k]
+    a, b = a[:, order], b[:, order]
     loop = np.repeat(np.arange(n), [len(p) for p in polys])[order]
-    n_cand = np.searchsorted(np.minimum(a[0], b[0]), np.maximum(a[0], b[0]),
-                             side="right") - np.arange(1, len(order) + 1)
     ends = np.cumsum(n_cand)
     least = n * n
     for lo in range(0, int(ends[-1]), CROSSING_BLOCK):

@@ -26,12 +26,19 @@ _HEADER_ITEM = re.compile(r"(\w+)=(.*?)(?=\s+\w+=|\s*$)")
 SAFE_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
-class _Dumper(yaml.SafeDumper):
+# Likewise the libyaml emitter: byte-identical reports, about four times
+# faster to dump than the pure-Python SafeDumper.
+class _Dumper(getattr(yaml, "CSafeDumper", yaml.SafeDumper)):
     pass
 
 
 def _float_representer(dumper, value):
-    return dumper.represent_scalar("tag:yaml.org,2002:float", repr(float(value)))
+    # A repr that would not read back as a float untagged (6e-05, inf) is
+    # tagged and quoted, as the pure-Python emitter writes it; libyaml's
+    # would leave it unquoted.
+    tag, text = "tag:yaml.org,2002:float", repr(float(value))
+    plain = dumper.resolve(yaml.ScalarNode, text, (True, False)) == tag
+    return dumper.represent_scalar(tag, text, style=None if plain else "'")
 
 
 _Dumper.add_representer(float, _float_representer)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse.linalg
 import scipy.spatial
 from numpy.testing import assert_allclose
 from scipy.sparse.linalg import splu
@@ -199,12 +200,13 @@ def gww_a():
 def delaunay_calls(monkeypatch):
     """The point sets fem_solver hands to Delaunay, in call order."""
     calls = []
+    real = scipy.spatial.Delaunay
 
     def counting(points):
         calls.append(points.copy())
-        return scipy.spatial.Delaunay(points)
+        return real(points)
 
-    monkeypatch.setattr(fem_solver, "Delaunay", counting)
+    monkeypatch.setattr(scipy.spatial, "Delaunay", counting)
     return calls
 
 
@@ -537,14 +539,14 @@ class TestSpectrumSlicing:
 
     def test_slice_missing_a_mode_is_an_error(self, small_lshape_ops,
                                               monkeypatch):
-        original = fem_solver.eigsh
+        original = scipy.sparse.linalg.eigsh
 
         def drop_nearest(*args, sigma, **kwargs):
             vals, vecs = original(*args, sigma=sigma, **kwargs)
             keep = np.arange(len(vals)) != np.argmin(np.abs(vals - sigma))
             return vals[keep], vecs[:, keep]
 
-        monkeypatch.setattr(fem_solver, "eigsh", drop_nearest)
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", drop_nearest)
         with pytest.raises(EigensolveError, match="by inertia"):
             solve_lowest(small_lshape_ops, 20)
 

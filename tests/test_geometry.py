@@ -484,6 +484,33 @@ class TestCrossing:
         assert [_crossing_loops(polys) for polys in cases] == whole
         assert [crossing_loops_per_pair(polys) for polys in cases] == whole
 
+    @pytest.mark.parametrize("transpose", [False, True])
+    def test_stacked_edges_are_not_all_paired(self, transpose, monkeypatch):
+        # A closed comb: 2,000 edges stacked on x = 0 and 2,000 on x = 1.
+        # Swept along x every edge on a side pairs with every later one
+        # there (4.0e6 pairs); along y each meets only its neighbours.
+        from drumspec import geometry
+
+        y = np.arange(2000) / 2000
+        comb = np.concatenate([np.stack([np.zeros_like(y), y], axis=1),
+                               np.stack([np.ones_like(y), 1 - y], axis=1)])
+        bent = comb.copy()
+        bent[1000] = (1.5, 0.5)  # its two edges cross the side on x = 1
+        if transpose:
+            comb, bent = comb[:, ::-1], bent[:, ::-1]
+        pairs = []
+        cross = geometry._cross
+
+        def counting(u, v):
+            pairs.append(np.size(u) // 2)
+            return cross(u, v)
+
+        monkeypatch.setattr(geometry, "_cross", counting)
+        assert _crossing_loops([comb]) is None
+        # Four cross products per block, each over all the block's pairs.
+        assert sum(pairs) // 4 <= 2.0e4
+        assert _crossing_loops([bent]) == (0, 0)
+
     def test_touching_is_not_crossing(self):
         poly = make_lshape()._polylines[0]
         assert _crossing_loops([poly]) is None

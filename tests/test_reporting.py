@@ -6,8 +6,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 from numpy.testing import assert_array_equal
 
+from drumspec import __version__, reporting
+from drumspec.asymptotic_fit import fit_report
+from drumspec.classifier import classify
+from drumspec.corpus import REFERENCE_DOMAINS, spectrum_for
+from drumspec.heat_trace import theoretical_coefficients
 from drumspec.reporting import read_table, write_table
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "drumspec"
@@ -89,3 +95,30 @@ def test_only_reporting_and_geometry_write_files():
 def test_writer_check_sees_the_writers():
     assert file_writes(SRC / "reporting.py")
     assert file_writes(SRC / "geometry.py")
+
+
+class PurePythonDumper(yaml.SafeDumper):
+    pass
+
+
+PurePythonDumper.add_representer(float, reporting._float_representer)
+
+
+def test_reports_dump_as_the_pure_python_dumper_does():
+    """The classify reports of the verification corpus's analytic domains
+    come out byte for byte as PyYAML's pure-Python SafeDumper writes them."""
+    assert issubclass(reporting._Dumper,
+                      getattr(yaml, "CSafeDumper", yaml.SafeDumper))
+    refs = [ref for ref in REFERENCE_DOMAINS if ref.analytic]
+    assert refs
+    for ref in refs:
+        spec = spectrum_for(ref)
+        verdict = classify(spec, chi=ref.chi)
+        report = fit_report(
+            verdict.fit, theoretical=theoretical_coefficients(ref.build()),
+            inputs={"tool_version": __version__, "domain_path": f"{ref.label}.yaml",
+                    "eigenvalue_digest": reporting.digest_array(spec.eigenvalues)},
+            verdict=verdict.to_dict())
+        expected = yaml.dump(reporting._sanitize(report), Dumper=PurePythonDumper,
+                             sort_keys=False, default_flow_style=False)
+        assert reporting.dump_report(report).encode() == expected.encode(), ref.label
