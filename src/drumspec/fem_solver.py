@@ -1,22 +1,58 @@
 """Graded-mesh P1 finite elements for Dirichlet eigenvalues.
 
-Meshing is a force-equilibrium Delaunay scheme: boundary points are walked
-at the local target size and held fixed, interior points start on a hex
-lattice (plus radial fans inside reentrant-corner grading zones, where the
-target size falls like r^GRADING towards the corner) and relax under
-repulsion-only edge springs.  A corner is graded when its angle theta
-exceeds 1.01 pi, where its leading singular exponent pi/theta is below
-0.99: the kinks of a few 1e-5 rad that a reloaded spline curve keeps at its
-junctions are corners, but not graded.  The springs follow the edges of the
-last Delaunay triangulation, which is redone only once some interior point
-has moved RETRI_MOVE = 0.3 local target sizes from where it saw the point
-(Persson & Strang 2004), and once more at the end.  Stale springs still
-repel, so the relaxation needs no fresh connectivity at every step: against
-a 0.1 trigger, 0.3 cuts the Delaunay calls per mesh from 19-22 to 8-9 on
-the L-shape at h=0.01 and the GWW drums at h=0.07 and keeps every minimum
-angle within 0.5 deg (gww-a at h=0.02 rises from 18.8 to 23.6 deg).  Flat
-slivers along the boundary are dropped from the final triangles.  Curved
-segments are resolved by chords whose sagitta stays below h^2/diam.
+Meshing is two-level: the spring mesher meshes the domain once at the
+coarse size n h, and every coarse triangle is then split into n^2 similar
+ones whose nodes are shared along the coarse edges.  n = ceil(COARSE_SIZE
+w / h), with COARSE_SIZE = 0.1 and w the largest distance between two
+points of the outer loop; w rather than ``domain.diameter`` (the diagonal
+of the bounding box) keeps n the same when the domain turns.  This gives
+n = 15 on the L-shape at h=0.01 (11,791 dofs against 11,597 from the
+spring mesher alone) and n = 5 on the GWW drums at h=0.07, where gww-b's
+coarse mesh has a 14.5 deg angle and is remade at n = 4.
+
+The spring mesher is a force-equilibrium Delaunay scheme: boundary points
+are walked at the local target size and held fixed, interior points start
+on a hex lattice (plus radial fans inside reentrant-corner grading zones,
+where the target size falls like r^GRADING towards the corner) and relax
+under repulsion-only edge springs.  A corner is graded when its angle
+theta exceeds 1.01 pi, where its leading singular exponent pi/theta is
+below 0.99: the kinks of a few 1e-5 rad that a reloaded spline curve keeps
+at its junctions are corners, but not graded.  The springs follow the
+edges of the last Delaunay triangulation, which is redone only once some
+interior point has moved RETRI_MOVE = 0.3 local target sizes from where it
+saw the point (Persson & Strang 2004), and once more at the end.  Stale
+springs still repel, so the relaxation needs no fresh connectivity at
+every step: against a 0.1 trigger, 0.3 cut the Delaunay calls per mesh
+from 19-22 to 8-9 on the L-shape at h=0.01 and the GWW drums at h=0.07.
+Flat slivers along the boundary are dropped from the final triangles.
+
+The spring mesher's angles depend on when it happens to retriangulate (on
+the holed square it returned 1.58 deg at h=0.05 and 0.26 deg at h=0.02),
+and a coarse mesh of a few dozen points is more fragile still.  So a
+coarse mesh is kept only if it conforms and every angle is at least
+MIN_ANGLE_DEG = 20 deg; otherwise the coarse step is redone with n - 1,
+n - 2, ..., down to n = 1, the spring mesher alone.  The subdivided mesh
+must pass the same floor, and mesh_domain raises MeshError, naming the
+angle, rather than return a mesh below it.
+
+Subdivision keeps the coarse angles except at graded corners and curves.
+Grading at the coarse level ends at the coarse triangles, so in each one
+that touches a graded corner the sub-nodes are pulled towards it: rho = 1
+minus the corner's barycentric weight becomes rho^CORNER_REMAP, with
+CORNER_REMAP = 3/2.  The size law's own exponent 1/(1 - GRADING) = 2
+dropped the smallest angles at h=0.02 to 16.2 deg (L-shape, gww-a) and
+13.9 deg (gww-b).  A new boundary node is ``point_at`` of
+its interpolated segment parameter, so it lies on its curve, and the
+sub-nodes of a coarse triangle along a curve follow the curve's offset
+from the coarse chord, fading to zero at the opposite vertex.  Coarse
+chords keep their sagitta below (n h)^2/diam, so the fine chords' is about
+h^2/diam; ``chord_error`` is measured on the fine chords.  The fine
+vertices are numbered row-major (by y, then x) before assembly.  Numbered
+as the subdivision makes them (coarse vertices, then coarse edges, then
+coarse triangles), the sparse LU of K - sigma M on the L-shape at h=0.01
+took 176 ms instead of 55 ms to factor and 2.9 ms instead of 1.2 ms per
+solve (medians on a 2-core machine), at a similar fill (0.68 million
+nonzeros in L and U against 0.73 million).
 
 Assembly uses the exact per-triangle linear-element formulas; the Dirichlet
 condition is imposed by eliminating boundary rows and columns.  The lowest
@@ -59,6 +95,13 @@ RELAX_STEP = 0.2
 # than 0.1 halves the Qhull calls and raised the 1st-percentile angle of
 # every non-convex test domain; 0.5 let a moved L-shape fall to 20.5 deg.
 RETRI_MOVE = 0.3
+# The coarse mesh is made at n h with n = ceil(COARSE_SIZE * diam / h).
+COARSE_SIZE = 0.1
+# Every angle of a returned mesh is at least this.
+MIN_ANGLE_DEG = 20.0
+# Sub-nodes next to a graded corner sit at rho^CORNER_REMAP of their
+# barycentric distance rho from it.
+CORNER_REMAP = 1.5
 SPRING_SCALE = 1.2
 POLLUTION_DEV = 0.05
 POLLUTION_KMIN = 30
@@ -79,8 +122,10 @@ class Mesh:
     area: float = 0.0             # of the continuous domain
     perimeter: float = 0.0
     boundary_loops: list = field(default_factory=list)  # vertex index arrays
-    # mesh_domain records min_angle_deg, delaunay_calls, and last_max_move_h:
-    # the largest interior move of the last relaxation iteration over h.
+    # mesh_domain records min_angle_deg (of this mesh, as the benchmark's
+    # tracer reads it), subdivisions (n), and two figures of the coarse
+    # spring mesh it subdivides: delaunay_calls and last_max_move_h, the
+    # largest interior move of its last relaxation iteration over n h.
     meta: dict = field(default_factory=dict)
 
     @property
@@ -157,10 +202,13 @@ def _corner_fans(reentrant, size_fn, h, diam):
 
 def mesh_domain(domain, h):
     """Triangulate a DomainSpec with target size h, graded towards reentrant
-    corners.
+    corners: the spring mesher at the coarse size n h, then every coarse
+    triangle split into n^2 (see the module docstring).
 
     Raises MeshError when the requested size cannot resolve the geometry
-    (e.g. a segment shorter than a couple of steps), naming the offender.
+    (e.g. a segment shorter than a couple of steps), naming the offender,
+    and when no n down to 1 gives a mesh whose every angle reaches
+    MIN_ANGLE_DEG.
     """
     if h <= 0:
         raise MeshError("target size h must be positive")
@@ -169,24 +217,64 @@ def mesh_domain(domain, h):
         raise MeshError(f"h={h:g} too coarse for a domain of diameter {diam:g}")
     # The grading rule of the module docstring (theta > 1.01 pi).
     reentrant = [c for c in domain.corners if c.theta > 1.01 * PI]
+    for n in range(math.ceil(COARSE_SIZE * _width(domain) / h), 0, -1):
+        try:
+            coarse, params = _spring_mesh(domain, n * h, reentrant)
+            _check_min_angle(coarse)
+            mesh = _subdivide(coarse, params, domain, n, h, reentrant)
+            _check_min_angle(mesh)
+            return mesh
+        except MeshError as exc:
+            failure = exc
+    raise failure
+
+
+def _width(domain):
+    """The largest distance between two points of the outer loop (segment
+    ends, and 64 chords per arc or curve).  Unlike ``domain.diameter``, the
+    diagonal of the bounding box, it does not change when the domain turns."""
+    from scipy.spatial import ConvexHull
+    pts = np.concatenate([s.sample(1 if s.kind == "line" else 64)[:-1]
+                          for s in domain.loops[0].segments])
+    hull = pts[ConvexHull(pts).vertices]
+    return float(np.sqrt(np.max(np.sum((hull[:, None] - hull[None]) ** 2, axis=-1))))
+
+
+def _check_min_angle(mesh):
+    angle = mesh.meta["min_angle_deg"]
+    if angle < MIN_ANGLE_DEG:
+        raise MeshError(f"smallest angle {angle:.3g} deg is below the "
+                        f"{MIN_ANGLE_DEG:g} deg floor")
+
+
+def _spring_mesh(domain, h, reentrant):
+    """The spring mesher at target size h: the Mesh, and for each of its
+    boundary loops the flat segment index and the segment parameter of
+    every loop vertex."""
+    diam = domain.diameter
     size_fn = _size_function(h, diam, [c.vertex for c in reentrant])
     sagitta = h * h / diam
 
     boundary_loops = []
     boundary_pts = []
-    offset = 0
+    params = []
+    offset = flat = 0
     for li, loop in enumerate(domain.loops):
-        pieces = []
+        pieces, segs, us = [], [], []
         for si, seg in enumerate(loop.segments):
-            pts = seg.walk(size_fn, sagitta=sagitta)
+            pts, u = seg.walk(size_fn, sagitta=sagitta)
             if seg.length < 2.0 * size_fn(seg.start)[0] / 3.0:
                 raise MeshError(
                     f"segment {si} of loop {li} (length {seg.length:g}) is "
                     f"too short for h={h:g}")
             pieces.append(pts)
+            segs.append(np.full(len(u), flat + si))
+            us.append(u)
+        flat += len(loop.segments)
         loop_pts = np.concatenate(pieces, axis=0)
         boundary_pts.append(loop_pts)
         boundary_loops.append(np.arange(offset, offset + len(loop_pts)))
+        params.append((np.concatenate(segs), np.concatenate(us)))
         offset += len(loop_pts)
     boundary = np.concatenate(boundary_pts, axis=0)
     n_bdry = len(boundary)
@@ -257,9 +345,7 @@ def mesh_domain(domain, h):
         if free.any() else 0.0
 
     simplices = _triangulate(points, poly_loops)
-    p = points[simplices]
-    area2 = (p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1]) \
-        - (p[:, 1, 1] - p[:, 0, 1]) * (p[:, 2, 0] - p[:, 0, 0])
+    area2 = _area2(points[simplices])
     # Once a rigid motion breaks the exact collinearity of the points along
     # a straight edge, Qhull leaves flat slivers there that the centroid
     # test can keep: drop them.
@@ -295,6 +381,143 @@ def mesh_domain(domain, h):
                       "delaunay_calls": retriangulations + 1,
                       "last_max_move_h": max_move / h})
     _check_conformity(mesh)
+    return mesh, params
+
+
+def _subdivide(coarse, params, domain, n, h, reentrant):
+    """Split every triangle of ``coarse`` into n^2 similar ones whose nodes
+    are shared along the coarse edges.
+
+    Sub-nodes of a triangle with a graded corner are pulled towards it by
+    the radial remap rho -> rho^CORNER_REMAP of rho = 1 - the corner's
+    barycentric weight.  A new boundary node is ``point_at`` of its
+    interpolated parameter, and the sub-nodes of a coarse triangle with a
+    boundary edge follow that edge's offset from its chord, scaled down to
+    zero at the opposite vertex.  The fine vertices are numbered row-major.
+    """
+    P, T = coarse.vertices, coarse.triangles
+    nv, nt = len(P), len(T)
+    segments = [seg for loop in domain.loops for seg in loop.segments]
+    corner = np.zeros(nv, dtype=bool)
+    for c in reentrant:
+        corner[np.argmin(np.linalg.norm(P - c.vertex, axis=1))] = True
+    graded = corner[T]
+    if n > 1 and np.any(graded.sum(axis=1) > 1):
+        raise MeshError("a coarse triangle touches two graded corners")
+
+    # Local node (i, j) has the barycentric weights (n - i - j, i, j) / n.
+    j, i = np.divmod(np.arange((n + 1) ** 2), n + 1)
+    i, j = i[i + j <= n], j[i + j <= n]
+    loc = np.zeros((n + 1, n + 1), dtype=np.int64)
+    loc[i, j] = np.arange(len(i))
+    up, dn = (i + j < n), (i + j < n - 1)
+    local_tris = np.concatenate([
+        np.column_stack([loc[i[up], j[up]], loc[i[up] + 1, j[up]],
+                         loc[i[up], j[up] + 1]]),
+        np.column_stack([loc[i[dn] + 1, j[dn]], loc[i[dn] + 1, j[dn] + 1],
+                         loc[i[dn], j[dn] + 1]])])
+
+    # side[k]: the local nodes of edge k, from vertex k to vertex k + 1.
+    r = np.arange(n + 1)
+    side = np.stack([loc[r, 0 * r], loc[n - r, r], loc[0 * r, n - r]])
+
+    # Global numbers: coarse vertices, then n - 1 nodes per coarse edge
+    # (walked from its lower-numbered end), then each triangle's inner nodes.
+    keys = _edge_keys(T, np.roll(T, -1, axis=1), nv)
+    edge_keys, edge_of = np.unique(keys, return_inverse=True)
+    edge_of = edge_of.reshape(nt, 3)
+    t = np.arange(1, n)
+    glob = np.empty((nt, len(i)), dtype=np.int64)
+    glob[:, side[:, 0]] = T
+    for k in range(3):
+        slot = np.where((T[:, k] < T[:, (k + 1) % 3])[:, None], t - 1, n - 1 - t)
+        glob[:, side[k, 1:-1]] = nv + edge_of[:, [k]] * (n - 1) + slot
+    inner = (i > 0) & (j > 0) & (i + j < n)
+    n_inner = np.count_nonzero(inner)
+    glob[:, inner] = nv + len(edge_keys) * (n - 1) \
+        + np.arange(nt)[:, None] * n_inner + np.arange(n_inner)
+
+    w = np.broadcast_to(np.column_stack([n - i - j, i, j]) / n,
+                        (nt, len(i), 3)).copy()
+    for k in range(3):
+        rows = graded[:, k]
+        rho = 1.0 - w[rows, :, k]
+        w[rows] *= (rho ** (CORNER_REMAP - 1.0))[..., None]
+        w[rows, :, k] = 1.0 - rho ** CORNER_REMAP
+    x = np.einsum("tlk,tkd->tld", w, P[T])
+
+    # Coarse boundary edges a -> b in loop order, each with its segment and
+    # its parameters u0 at a and u1 at b (1 where b starts the next segment).
+    loops = coarse.boundary_loops
+    a, b = np.concatenate(loops), np.concatenate([np.roll(lp, -1) for lp in loops])
+    seg = np.concatenate([sg for sg, _ in params])
+    u0 = np.concatenate([u for _, u in params])
+    u1 = np.concatenate([np.where(np.roll(sg, -1) == sg, np.roll(u, -1), 1.0)
+                         for sg, u in params])
+
+    # The sub-nodes of the triangle along boundary edge a -> b (the domain
+    # is on the left of both, so they run the same way) move by sigma times
+    # the segment's offset from the chord at the node's fraction between a
+    # and b, sigma being its weight on a and b.  That puts the nodes of the
+    # edge itself on the segment.
+    bnd = np.full(len(edge_keys), -1)
+    bnd[np.searchsorted(edge_keys, _edge_keys(a, b, nv))] = np.arange(len(a))
+    tri, k = np.nonzero(bnd[edge_of] >= 0)
+    e = bnd[edge_of[tri, k]]
+    sigma = w[tri, :, k] + w[tri, :, (k + 1) % 3]
+    along = w[tri, :, (k + 1) % 3] / np.where(sigma > 0, sigma, 1.0)
+    offset = -(P[a[e], None] + along[..., None] * (P[b[e]] - P[a[e]])[:, None])
+    u = u0[e, None] + along * (u1 - u0)[e, None]
+    for sid in np.unique(seg[e]):
+        rows = seg[e] == sid
+        offset[rows] += segments[sid].point_at(u[rows].ravel()).reshape(
+            -1, len(i), 2)
+    np.add.at(x, tri, sigma[..., None] * offset)
+    vertices = np.empty((nv + len(edge_keys) * (n - 1) + nt * n_inner, 2))
+    vertices[glob] = x
+
+    # The nodes and parameters of each boundary edge, a to b, in loop order;
+    # each fine chord's sagitta is measured at its middle parameter (zero
+    # on straight segments).
+    by_edge = np.argsort(e)
+    ends = side[k[by_edge]]
+    nodes = np.take_along_axis(glob[tri[by_edge]], ends, axis=1)
+    u = np.take_along_axis(u[by_edge], ends, axis=1)
+    chords = vertices[nodes]
+    sagitta = 0.0
+    for sid in np.unique(seg):
+        rows, curve = seg == sid, segments[sid]
+        if curve.kind != "line":
+            mid = curve.point_at(0.5 * (u[rows, :-1] + u[rows, 1:]).ravel())
+            sagitta = max(sagitta, float(np.max(np.linalg.norm(
+                mid - 0.5 * (chords[rows, :-1] + chords[rows, 1:]).reshape(-1, 2),
+                axis=1))))
+
+    # Row-major numbering (y, then x) keeps the bandwidth of the operators
+    # near sqrt(dofs), which the sparse factorisations depend on.
+    order = np.lexsort((vertices[:, 0], vertices[:, 1]))
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    vertices = vertices[order]
+    triangles = rank[glob[:, local_tris].reshape(-1, 3)]
+    offsets = np.cumsum([0] + [len(lp) for lp in loops])
+    boundary_loops = [rank[nodes[lo:hi, :-1].ravel()]
+                      for lo, hi in zip(offsets[:-1], offsets[1:])]
+    is_boundary = np.zeros(len(vertices), dtype=bool)
+    is_boundary[np.concatenate(boundary_loops)] = True
+
+    if np.any(_area2(vertices[triangles]) <= 1e-14 * h * h):
+        raise MeshError(f"subdivision into {n}^2 left a degenerate or "
+                        f"inverted triangle")
+    mesh = Mesh(vertices=vertices, triangles=triangles, is_boundary=is_boundary,
+                h=h, chord_error=sagitta, domain_label=domain.label,
+                area=domain.area, perimeter=domain.perimeter,
+                boundary_loops=boundary_loops,
+                meta={"min_angle_deg": _min_angles_deg(vertices, triangles).min(),
+                      "delaunay_calls": coarse.meta["delaunay_calls"],
+                      "last_max_move_h": coarse.meta["last_max_move_h"],
+                      "subdivisions": n})
+    _check_conformity(mesh)
     return mesh
 
 
@@ -303,6 +526,12 @@ def _triangulate(points, poly_loops):
     from scipy.spatial import Delaunay
     simplices = Delaunay(points).simplices
     return simplices[_loops_contain(poly_loops, points[simplices].mean(axis=1))]
+
+
+def _area2(p):
+    """Twice the signed areas of the triangles p, of shape (M, 3, 2)."""
+    return (p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1]) \
+        - (p[:, 1, 1] - p[:, 0, 1]) * (p[:, 2, 0] - p[:, 0, 0])
 
 
 def _min_angles_deg(vertices, triangles):

@@ -106,7 +106,8 @@ class _Segment:
     (1/2) * integral(x dy - y dx)) in ``__init__``.  It supplies a
     vectorised ``point_at(u)`` for u in [0, 1] and ``tangent_in`` and
     ``tangent_out`` (unit, in traversal direction), and overrides
-    ``step_cap`` and ``to_dict`` where it needs more than a straight line.
+    ``step_cap``, ``param_at`` and ``to_dict`` where it needs more than a
+    straight line.
     """
 
     def sample(self, n):
@@ -117,29 +118,38 @@ class _Segment:
         """Longest walk step whose chord keeps within ``sagitta``."""
         return math.inf
 
+    def param_at(self, s):
+        """Parameters at arclengths s from the start (lines and arcs run at
+        constant speed)."""
+        return s / self.length
+
     def walk(self, size_fn, sagitta):
         """Points along the segment spaced by a local size function, which
         maps points of shape (n, 2) to sizes of shape (n,).
 
         Returns the start point and interior points, excluding the segment
-        end (loop walks chain segment outputs).  Walks in parameter space
-        with arclength steps given by the size function, capped by
-        ``step_cap``; the step that would pass u = 1 is recorded and all
-        parameters are rescaled by 1/overshoot so the walk ends exactly at
-        the segment end.
+        end (loop walks chain segment outputs), and their parameters.  Walks
+        in arclength with steps given by the size function, capped by
+        ``step_cap``; the step that would pass the end is recorded and all
+        arclengths are rescaled by 1/overshoot so the walk ends exactly at
+        the segment end.  Walking in arclength rather than in the
+        parameter puts the points of one curve in the same places under
+        any parametrization (a reloaded spline's, say).
         """
         cap = self.step_cap(sagitta)
-        us = [0.0]
-        u = 0.0
+        ss = [0.0]
+        s = 0.0
         while True:
-            step = max(size_fn(self.point_at(np.array([u])))[0], 1e-12)
-            u = u + min(step, cap) / self.length
-            if u >= 1.0 - 1e-9:
+            step = max(size_fn(self.point_at(self.param_at(np.array([s]))))[0],
+                       1e-12)
+            s += min(step, cap)
+            if s >= self.length * (1.0 - 1e-9):
                 break
-            us.append(u)
-            if len(us) > 200000:
+            ss.append(s)
+            if len(ss) > 200000:
                 raise InvalidDomainError("boundary walk failed to terminate")
-        return self.point_at(np.array(us) / u)
+        us = self.param_at(np.array(ss) * (self.length / s))
+        return self.point_at(us), us
 
     def to_dict(self):
         return {"kind": self.kind, "start": self.start.tolist(),
@@ -253,6 +263,7 @@ class CurveSegment(_Segment):
         self.dfun = dfun
         self.d2fun = d2fun
         self._points = None if points is None else np.asarray(points, dtype=float)
+        self._arclength = None
         self.start = _as_point(fun(np.array([0.0]))[0])
         self.end = _as_point(fun(np.array([1.0]))[0])
 
@@ -295,6 +306,16 @@ class CurveSegment(_Segment):
         kmax = np.max(np.abs(d[:, 0] * dd[:, 1] - d[:, 1] * dd[:, 0])
                       / np.maximum(speed2, 1e-30) ** 1.5)
         return 2.0 * math.sqrt(2.0 * sagitta / kmax) if kmax > 1e-12 else math.inf
+
+    def param_at(self, s):
+        # Inverts a trapezoid table of the arclength, scaled to the
+        # quadrature length, on 1025 parameters.
+        if self._arclength is None:
+            u = np.linspace(0.0, 1.0, 1025)
+            speed = np.linalg.norm(self.dfun(u), axis=1)
+            cum = np.concatenate([[0.0], np.cumsum(0.5 * (speed[1:] + speed[:-1]))])
+            self._arclength = (cum * (self.length / cum[-1]), u)
+        return np.interp(s, *self._arclength)
 
     def point_at(self, u):
         return np.asarray(self.fun(u), dtype=float)

@@ -15,7 +15,7 @@ from drumspec.analytic_spectra import (
     rectangle_spectrum,
     sector_spectrum,
 )
-from drumspec.corpus import ISOSPECTRAL_PAIR
+from drumspec.corpus import EXACT_SEGMENT_DOMAINS, ISOSPECTRAL_PAIR
 from drumspec.errors import AssemblyError, EigensolveError, MeshError
 from drumspec.fem_solver import (
     SLICE_MODES,
@@ -131,6 +131,50 @@ class TestElementMatrices:
                         rtol=0, atol=1e-15)
 
 
+def annulus():
+    hole = [ArcSegment(s.end, s.start, (0, 0), -0.3)
+            for s in reversed(_circle_arcs((0, 0), 0.3))]
+    return DomainSpec([_circle_arcs((0, 0), 1.0), hole])
+
+
+def circle_sagittas(radii):
+    """Sagittas of chords p -> q of circles about the origin, one radius
+    per boundary loop."""
+    return lambda p, q, loop: radii[loop] - np.linalg.norm(0.5 * (p + q), axis=1)
+
+
+def ellipse_sagittas(a, b):
+    """Largest distance from chord p -> q to the arc of the ellipse between
+    them, over 65 points of the arc."""
+    def sagittas(p, q, loop):
+        t0 = np.arctan2(p[:, 1] / b, p[:, 0] / a)
+        t1 = t0 + np.mod(np.arctan2(q[:, 1] / b, q[:, 0] / a) - t0, 2 * PI)
+        t = t0[:, None] + np.linspace(0.0, 1.0, 65) * (t1 - t0)[:, None]
+        arc = np.stack([a * np.cos(t), b * np.sin(t)], axis=-1)
+        d = q - p
+        cross = d[:, None, 0] * (arc[..., 1] - p[:, None, 1]) \
+            - d[:, None, 1] * (arc[..., 0] - p[:, None, 0])
+        return np.max(np.abs(cross), axis=1) / np.linalg.norm(d, axis=1)
+    return sagittas
+
+
+# label: (builder, distance-like deviation of points from the curve,
+#         sagittas of boundary chords)
+CURVED = {
+    "disk": (make_disk, lambda p: np.abs(np.linalg.norm(p, axis=1) - 1.0),
+             circle_sagittas([1.0])),
+    "ellipse-1x0.6": (
+        lambda: make_ellipse(1.0, 0.6),
+        lambda p: np.abs(np.hypot(p[:, 0] / 1.0, p[:, 1] / 0.6) - 1.0),
+        ellipse_sagittas(1.0, 0.6)),
+    "annulus-1-0.3": (
+        annulus,
+        lambda p: np.min(np.abs(np.linalg.norm(p, axis=1)[:, None]
+                                - [1.0, 0.3]), axis=1),
+        circle_sagittas([1.0, 0.3])),
+}
+
+
 class TestMeshing:
     def test_square_mesh_size_and_flags(self, square_mesh):
         # target size 0.05 on the unit square: on the order of a thousand
@@ -155,12 +199,20 @@ class TestMeshing:
         # chordal polygon area is slightly below pi, by O(h^2)
         assert abs(areas.sum() - PI) < 0.01
 
-    def test_disk_boundary_on_circle_within_chord_tolerance(self, disk_mesh):
-        bnd = disk_mesh.vertices[disk_mesh.is_boundary]
-        r = np.linalg.norm(bnd, axis=1)
-        assert np.max(np.abs(r - 1.0)) <= 1e-9  # vertices sit on the circle
-        # and chord sagitta stays below h^2/diam by construction
-        assert disk_mesh.chord_error <= 0.05 ** 2 / 2.0 + 1e-15
+    @pytest.mark.parametrize("label", sorted(CURVED))
+    def test_boundary_on_curve_within_chord_tolerance(self, label):
+        build, off_curve, sagittas = CURVED[label]
+        dom = build()
+        mesh = mesh_domain(dom, 0.05)
+        # every boundary vertex, the subdivision's included, is on its curve
+        assert np.max(off_curve(mesh.vertices[mesh.is_boundary])) <= 1e-9
+        # chord_error is the largest sagitta of the mesh's boundary chords,
+        # which stays below h^2/diam by construction
+        chords = np.concatenate([sagittas(mesh.vertices[loop],
+                                          mesh.vertices[np.roll(loop, -1)], li)
+                                 for li, loop in enumerate(mesh.boundary_loops)])
+        assert mesh.chord_error == pytest.approx(chords.max(), rel=1e-2)
+        assert mesh.chord_error <= 0.05 ** 2 / dom.diameter
 
     def test_lshape_grading_refines_reentrant_corner(self, lshape_mesh):
         corner = np.array([0.5, 0.5])
@@ -210,23 +262,137 @@ def delaunay_calls(monkeypatch):
     return calls
 
 
+def coarse_vertex_count(mesh):
+    """Vertices of the coarse mesh that ``mesh`` subdivides, from Euler's
+    formula: n^2 fine triangles and n boundary edges per coarse one."""
+    n = mesh.meta["subdivisions"]
+    tris = mesh.n_triangles // n ** 2
+    edges = (3 * tris + np.count_nonzero(mesh.is_boundary) // n) // 2
+    return mesh.n_vertices - edges * (n - 1) - tris * (n - 1) * (n - 2) // 2
+
+
 class TestRetriangulationTrigger:
+    # Delaunay runs only in the spring mesher, on the coarse points.
     def test_fewer_delaunay_calls(self, delaunay_calls):
         mesh = mesh_domain(gww_a(), 0.07)
         # 40 relaxation iterations and the final triangulation were 41 calls;
         # a 0.1 local-size trigger made 21 of them
         assert 2 < len(delaunay_calls) <= 12
         assert mesh.meta["delaunay_calls"] == len(delaunay_calls)
-        # the final call triangulates the relaxed points
-        assert np.array_equal(delaunay_calls[-1], mesh.vertices)
+        # the final call triangulates the relaxed coarse points, which are
+        # vertices of the subdivided mesh
+        final = delaunay_calls[-1]
+        assert len(final) == coarse_vertex_count(mesh) < mesh.n_vertices
+        assert {tuple(p) for p in final} <= {tuple(p) for p in mesh.vertices}
         assert mesh.meta["min_angle_deg"] >= 20.0
 
     def test_first_and_final_calls_always_happen(self, delaunay_calls,
                                                  monkeypatch):
         monkeypatch.setattr(fem_solver, "RETRI_MOVE", math.inf)
-        mesh = mesh_domain(gww_a(), 0.07)
+        mesh = mesh_domain(make_square(), 0.05)
         assert len(delaunay_calls) == mesh.meta["delaunay_calls"] == 2
         assert not np.array_equal(delaunay_calls[0], delaunay_calls[1])
+        assert len(delaunay_calls[1]) == coarse_vertex_count(mesh)
+
+    def test_unrelaxed_graded_mesh_is_refused(self, delaunay_calls,
+                                              monkeypatch):
+        # Without retriangulation the graded gww-a falls below the angle
+        # floor at every n from 5 down to 1 (two calls each); at n = 1, the
+        # spring mesher alone, its smallest angle is 0.29 deg.
+        monkeypatch.setattr(fem_solver, "RETRI_MOVE", math.inf)
+        with pytest.raises(MeshError, match="below the 20 deg floor"):
+            mesh_domain(gww_a(), 0.07)
+        assert len(delaunay_calls) == 2 * 5
+
+
+def all_angles_meet_the_floor(mesh):
+    """Every angle of the mesh, boundary triangles included, is 20 degrees
+    or more, and every triangle is counterclockwise."""
+    p = mesh.vertices[mesh.triangles]
+    area2 = (p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1]) \
+        - (p[:, 1, 1] - p[:, 0, 1]) * (p[:, 2, 0] - p[:, 0, 0])
+    return bool(np.all(area2 > 0)
+                and _min_angles_deg(mesh.vertices, mesh.triangles).min() >= 20.0)
+
+
+class TestTwoLevelMesh:
+    @pytest.mark.parametrize("h", [0.05, 0.02])
+    def test_holed_square_meets_the_angle_floor(self, h):
+        # the spring mesher alone left 1.58 deg at h=0.05 and 0.26 deg at
+        # h=0.02 here
+        mesh = mesh_domain(make_square_with_square_hole(), h)
+        _check_conformity(mesh)
+        assert all_angles_meet_the_floor(mesh)
+
+    @pytest.mark.parametrize("label", sorted(EXACT_SEGMENT_DOMAINS))
+    def test_every_reference_domain_meets_the_floor(self, label):
+        mesh = mesh_domain(EXACT_SEGMENT_DOMAINS[label](), 0.02)
+        assert all_angles_meet_the_floor(mesh)
+        assert mesh.meta["subdivisions"] > 1
+
+    def test_floor_failure_names_the_angle(self, monkeypatch):
+        # no triangle other than an equilateral one has all angles >= 60
+        monkeypatch.setattr(fem_solver, "MIN_ANGLE_DEG", 60.0)
+        with pytest.raises(MeshError,
+                           match=r"smallest angle [\d.]+ deg is below the "
+                                 r"60 deg floor"):
+            mesh_domain(make_square(), 0.1)
+
+    def test_rejected_coarse_mesh_is_retried_one_level_finer(self,
+                                                             monkeypatch):
+        sizes = []
+        spring_mesh = fem_solver._spring_mesh
+
+        def first_fails(domain, h, reentrant):
+            sizes.append(h)
+            if len(sizes) == 1:
+                raise MeshError("rejected")
+            return spring_mesh(domain, h, reentrant)
+
+        monkeypatch.setattr(fem_solver, "_spring_mesh", first_fails)
+        mesh = mesh_domain(make_lshape(), 0.02)
+        # n = ceil(0.1 * sqrt(2) / 0.02) = 8, then 7
+        assert sizes == [8 * 0.02, 7 * 0.02]
+        assert mesh.meta["subdivisions"] == 7
+        assert mesh.n_triangles % 49 == 0
+
+    def test_gww_b_retries_at_benchmark_size(self, monkeypatch):
+        # n = 5 gives a coarse angle of 14.5 deg, n = 4 passes
+        sizes = []
+        spring_mesh = fem_solver._spring_mesh
+
+        def recording(domain, h, reentrant):
+            sizes.append(h)
+            return spring_mesh(domain, h, reentrant)
+
+        monkeypatch.setattr(fem_solver, "_spring_mesh", recording)
+        mesh = mesh_domain(make_polygon(ISOSPECTRAL_PAIR["gww-b"]), 0.07)
+        assert sizes == [5 * 0.07, 4 * 0.07]
+        assert mesh.meta["subdivisions"] == 4
+        assert all_angles_meet_the_floor(mesh)
+
+    def test_coarse_size_does_not_turn_with_the_domain(self, moved):
+        # the bounding box of a turned L-shape is wider than sqrt(2)
+        turned = moved(make_lshape(), *rigid_motion(5))
+        assert turned.diameter > 1.5
+        assert mesh_domain(turned, 0.02).meta["subdivisions"] == 8
+
+    def test_vertices_numbered_row_major(self, lshape_mesh):
+        v = lshape_mesh.vertices
+        assert np.array_equal(np.lexsort((v[:, 0], v[:, 1])),
+                              np.arange(len(v)))
+
+    def test_each_coarse_triangle_splits_into_congruent_ones(self,
+                                                              square_mesh):
+        # the square has no graded corner and no curve, so the n^2 pieces of
+        # a coarse triangle have one area
+        n = square_mesh.meta["subdivisions"]
+        assert n > 1
+        p = square_mesh.vertices[square_mesh.triangles]
+        area2 = (p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1]) \
+            - (p[:, 1, 1] - p[:, 0, 1]) * (p[:, 2, 0] - p[:, 0, 0])
+        groups = np.sort(area2).reshape(-1, n * n)
+        assert_allclose(groups, groups[:, :1] * np.ones(n * n), rtol=1e-9)
 
 
 def assert_fills_domain(mesh, area):
@@ -518,7 +684,7 @@ class TestSpectrumSlicing:
     def test_count_ending_on_a_slice_boundary(self, small_lshape_ops,
                                               trust_all_modes):
         dense = dense_eigenvalues(small_lshape_ops)
-        count = 168
+        count = 238
         spec = solve_lowest(small_lshape_ops, count)
         assert_allclose(spec.eigenvalues, dense[:count], rtol=1e-10, atol=0)
         assert spec.meta["slices"] <= planned_slices(count) + 1

@@ -253,6 +253,26 @@ class TestParametric:
         assert_allclose([c.theta for c in loaded.corners], PI, rtol=0,
                         atol=1e-3)
 
+    def test_walk_steps_in_arclength(self, tmp_path):
+        # The upper half-ellipse runs at a speed proportional to
+        # sqrt(sin^2 + 0.36 cos^2) in its parameter, the reloaded spline at
+        # nearly constant speed; both walks space points by arclength.
+        dom = make_ellipse(1.0, 0.6)
+        save_domain(dom, tmp_path / "ellipse.yaml")
+        loaded = load_domain(tmp_path / "ellipse.yaml")
+        seg = dom.loops[0].segments[0]
+        pts, u = seg.walk(lambda p: np.full(len(p), 0.1), sagitta=1.0)
+        assert_allclose(seg.point_at(u), pts, rtol=0, atol=0)
+        t = np.linspace(0.0, 1.0, 20001)
+        speed = PI * np.hypot(np.sin(PI * t), 0.6 * np.cos(PI * t))
+        s = np.concatenate([[0.0], np.cumsum(0.5 * (speed[1:] + speed[:-1]))
+                            * (t[1] - t[0])])
+        steps = np.diff(np.append(np.interp(u, t, s), s[-1]))
+        assert_allclose(steps, steps.mean(), rtol=1e-4)
+        again, _ = loaded.loops[0].segments[0].walk(
+            lambda p: np.full(len(p), 0.1), sagitta=1.0)
+        assert_allclose(again, pts, rtol=0, atol=1e-5)
+
 
 class TestValidation:
     def test_degenerate_segment_rejected(self):
