@@ -66,10 +66,12 @@ complete below the last shift.  Each slice is finished as soon as it is
 solved, by a Rayleigh-Ritz step on its own vectors and a residual check, so
 no basis wider than one slice is kept; a slice that fails the check is
 split once at its midpoint, and each half is solved and checked again.
-The residual gate needs no
-factorisation of M: for P1 triangles diag(M)^-1 M has its eigenvalues in
-[1/2, 2] (Wathen 1987), so sqrt(2) times the residual in the diag(M)^-1
-norm bounds it in the M^-1 norm.
+That step is the module-level ``_finish_slice``, not a closure in
+solve_lowest: a closure that calls itself is a reference cycle, which kept
+the last slice's vectors alive after the solve until a full collection.
+The residual gate needs no factorisation of M: for P1 triangles
+diag(M)^-1 M has its eigenvalues in [1/2, 2] (Wathen 1987), so sqrt(2)
+times the residual in the diag(M)^-1 norm bounds it in the M^-1 norm.
 
 scipy's sparse, spatial and linalg packages are imported inside the
 functions that call them: every drumspec command imports this module, and
@@ -663,14 +665,14 @@ def _factor_shifted(K, M, sigma):
 def _solve_slice(K, M, lo, hi, modes, v0):
     """The eigenvectors of the ``modes`` eigenvalues that the inertia counts
     place in [lo, hi), by shift-invert Lanczos about the slice midpoint."""
-    from scipy.sparse.linalg import LinearOperator, eigsh
+    from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
     mid = 0.5 * (lo + hi)
     lu, _ = _factor_shifted(K, M, mid)
     op_inv = LinearOperator(K.shape, matvec=lu.solve, dtype=float)
     try:
         vals, vecs = eigsh(K, k=min(modes + SLICE_EXTRA, K.shape[0] - 1), M=M,
                            sigma=mid, v0=v0, OPinv=op_inv, maxiter=2000)
-    except Exception as exc:
+    except ArpackError as exc:
         raise EigensolveError(f"eigensolver failed: {exc}") from exc
     inside = np.nonzero((vals >= lo) & (vals < hi))[0]
     if len(inside) != modes:
@@ -678,6 +680,46 @@ def _solve_slice(K, M, lo, hi, modes, v0):
             f"slice [{lo:g}, {hi:g}) holds {modes} eigenvalues by inertia, "
             f"but the eigensolver found {len(inside)}")
     return vecs[:, inside]
+
+
+def _finish_slice(K, M, dinv, lo, hi, below_lo, below_hi, count, v0,
+                  may_split):
+    """Solve slice [lo, hi), which holds modes below_lo to below_hi - 1 by
+    inertia, and gate the residuals of those below ``count``.  Returns the
+    finished pieces in eigenvalue order as (first mode, theta, relative
+    residuals, x, M x): none, one, or, if the gate fails and ``may_split``,
+    those of the slice's two halves."""
+    from scipy.linalg import eigh as dense_eigh
+    take = min(below_hi, count) - below_lo
+    if take <= 0:
+        return []
+    x = _solve_slice(K, M, lo, hi, below_hi - below_lo, v0)
+    # ARPACK residuals in the original pencil grow like lambda * eps
+    # after shift-invert; a Rayleigh-Ritz step on the slice's own
+    # vectors restores them to projection level.
+    theta, s = dense_eigh(x.T @ (K @ x), x.T @ (M @ x))
+    x, theta = x @ s[:, :take], theta[:take]
+    mx = M @ x
+    r = K @ x - mx * theta[None, :]
+    # Gate per mode relative to lambda: |r|_{M^-1} bounds the absolute
+    # eigenvalue error, and double-precision Lanczos cannot push it
+    # below ~lambda^2*eps.  sqrt(2) |r|_{diag(M)^-1} bounds |r|_{M^-1}
+    # (Wathen 1987).
+    res = np.sqrt(2.0 * (dinv @ (r * r)))
+    xnorm = np.sqrt(np.einsum("ij,ij->j", x, mx))
+    rel_x = res / (np.maximum(theta, 1.0) * xnorm)
+    if rel_x.max() <= RESIDUAL_TOL:
+        return [(below_lo, theta, rel_x, x, mx)]
+    if not may_split:
+        raise EigensolveError(
+            f"eigensolver residual {rel_x.max():.3g} exceeds "
+            f"{RESIDUAL_TOL:g} after {count} modes")
+    mid = 0.5 * (lo + hi)
+    below_mid = _factor_shifted(K, M, mid)[1]
+    return (_finish_slice(K, M, dinv, lo, mid, below_lo, below_mid, count,
+                          v0, False)
+            + _finish_slice(K, M, dinv, mid, hi, below_mid, below_hi, count,
+                            v0, False))
 
 
 def solve_lowest(ops, count, seed=0):
@@ -696,9 +738,11 @@ def solve_lowest(ops, count, seed=0):
     of ``slices``, the last shift ``inertia_shift`` and the
     ``inertia_count`` below it.
 
-    Each slice is finished where it is solved, and its vectors are dropped
-    before the next slice: a Rayleigh-Ritz step on the slice alone, then
-    per-mode residuals r = K x - lambda M x.  ``max_residual`` is the
+    Each slice is finished where it is solved (``_finish_slice``): a
+    Rayleigh-Ritz step on the slice alone, then per-mode residuals
+    r = K x - lambda M x.  Through the next slice's solve only the previous
+    slice's vectors are held, for the adjacent-slice orthogonality check,
+    and nothing the solve allocates outlives it.  ``max_residual`` is the
     largest certified bound sqrt(2) |r|_{diag(M)^-1} / (max(lambda, 1)
     |x|_M) on the lambda-relative residual in the M^-1 norm; it holds
     because diag(M)^-1 M has its eigenvalues in [1/2, 2] for P1 triangles
@@ -710,7 +754,6 @@ def solve_lowest(ops, count, seed=0):
     truncated and its cutoff set by the Weyl pollution rule, so downstream
     heat-trace tails only see trusted modes.
     """
-    from scipy.linalg import eigh as dense_eigh
     K, M = ops.stiffness, ops.mass
     mesh = ops.mesh
     n = K.shape[0]
@@ -726,45 +769,6 @@ def solve_lowest(ops, count, seed=0):
     rel = np.empty(count)
     ortho_dev, prev = 0.0, None
 
-    def finish(lo, hi, below_lo, below_hi, v0, may_split):
-        # Solve slice [lo, hi), gate its residuals and store its modes; a
-        # failing slice is split once at its midpoint.
-        nonlocal ortho_dev, prev
-        take = min(below_hi, count) - below_lo
-        if take <= 0:
-            return
-        x = _solve_slice(K, M, lo, hi, below_hi - below_lo, v0)
-        # ARPACK residuals in the original pencil grow like lambda * eps
-        # after shift-invert; a Rayleigh-Ritz step on the slice's own
-        # vectors restores them to projection level.
-        theta, s = dense_eigh(x.T @ (K @ x), x.T @ (M @ x))
-        x, theta = x @ s[:, :take], theta[:take]
-        mx = M @ x
-        r = K @ x - mx * theta[None, :]
-        # Gate per mode relative to lambda: |r|_{M^-1} bounds the absolute
-        # eigenvalue error, and double-precision Lanczos cannot push it
-        # below ~lambda^2*eps.  sqrt(2) |r|_{diag(M)^-1} bounds |r|_{M^-1}
-        # (Wathen 1987).
-        res = np.sqrt(2.0 * (dinv @ (r * r)))
-        xnorm = np.sqrt(np.einsum("ij,ij->j", x, mx))
-        rel_x = res / (np.maximum(theta, 1.0) * xnorm)
-        if rel_x.max() > RESIDUAL_TOL:
-            if not may_split:
-                raise EigensolveError(
-                    f"eigensolver residual {rel_x.max():.3g} exceeds "
-                    f"{RESIDUAL_TOL:g} after {count} modes")
-            mid = 0.5 * (lo + hi)
-            below_mid = _factor_shifted(K, M, mid)[1]
-            finish(lo, mid, below_lo, below_mid, v0, False)
-            finish(mid, hi, below_mid, below_hi, v0, False)
-            return
-        vals[below_lo:below_lo + take] = theta
-        rel[below_lo:below_lo + take] = rel_x
-        ortho_dev = max(ortho_dev, np.max(np.abs(x.T @ mx - np.eye(take))))
-        if prev is not None:
-            ortho_dev = max(ortho_dev, np.max(np.abs(prev.T @ mx)))
-        prev = x
-
     lo, below_lo, slices = 0.0, 0, 0
     while below_lo < count:
         if slices < len(bounds):
@@ -774,10 +778,24 @@ def solve_lowest(ops, count, seed=0):
             # density the inertia counts have measured below ``lo``, size
             # one more slice to reach the padded ``count``.
             hi = lo * count * (1.0 + SLICE_PAD) / max(below_lo, 1)
-        # Only the count is kept: a factorisation held through the slice's
-        # solve makes resident memory climb from slice to slice.
+        # Only the count is kept.  Holding this factorisation through the
+        # slice's solve, next to the midpoint's, raised the peak of an
+        # L-shape h=0.01, 450-mode solve (fresh process, 2 cores) from
+        # 150-152 to 211-214 MB, resident memory climbing over 3 slices.
         below_hi = _factor_shifted(K, M, hi)[1]
-        finish(lo, hi, below_lo, below_hi, rng.standard_normal(n), True)
+        for start, theta, rel_x, x, mx in _finish_slice(
+                K, M, dinv, lo, hi, below_lo, below_hi, count,
+                rng.standard_normal(n), True):
+            take = len(theta)
+            vals[start:start + take] = theta
+            rel[start:start + take] = rel_x
+            ortho_dev = max(ortho_dev, np.max(np.abs(x.T @ mx - np.eye(take))))
+            if prev is not None:
+                ortho_dev = max(ortho_dev, np.max(np.abs(prev.T @ mx)))
+            prev = x
+            # Held through the next slice's solve, M x raised that peak
+            # (above) by 6-14 MB.
+            del mx
         lo, below_lo, slices = hi, below_hi, slices + 1
     if np.any(vals <= 0):
         raise EigensolveError("nonpositive discrete eigenvalue; broken operators")

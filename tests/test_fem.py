@@ -1,3 +1,4 @@
+import gc
 import math
 
 import numpy as np
@@ -750,6 +751,27 @@ class TestSpectrumSlicing:
         with pytest.raises(EigensolveError, match="residual .* exceeds 1e-08"):
             solve_lowest(small_lshape_ops, 20)
 
+    def test_arpack_failure_is_an_eigensolve_error(self, small_lshape_ops,
+                                                   monkeypatch):
+        def no_convergence(*args, **kwargs):
+            raise scipy.sparse.linalg.ArpackNoConvergence(
+                "ARPACK error -1: No convergence", np.empty(0), np.empty((0, 0)))
+
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
+        with pytest.raises(EigensolveError, match="eigensolver failed"):
+            solve_lowest(small_lshape_ops, 20)
+
+    def test_programming_error_propagates(self, small_lshape_ops, monkeypatch):
+        error = TypeError("eigsh() got an unexpected keyword argument")
+
+        def broken(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", broken)
+        with pytest.raises(TypeError) as info:
+            solve_lowest(small_lshape_ops, 20)
+        assert info.value is error
+
 
 @pytest.fixture
 def slice_vectors(monkeypatch):
@@ -832,3 +854,38 @@ class TestSliceFinishing:
         d = 1.0 / np.sqrt(np.diag(mass))
         ev = np.linalg.eigvalsh(d[:, None] * mass * d[None, :])
         assert 0.5 - 1e-12 <= ev[0] and ev[-1] <= 2.0 + 1e-12
+
+
+def garbage_after(call):
+    """``call()`` run with the cyclic collector off, and the number of
+    objects a full collection then finds unreachable: what only a cyclic
+    collection would have freed."""
+    gc.collect()
+    gc.disable()
+    try:
+        result = call()
+        return gc.collect(), result
+    finally:
+        gc.enable()
+
+
+class TestSolveLeavesNoCycles:
+    """A solve frees what it allocates when it returns, without waiting
+    for the cyclic collector."""
+
+    def test_multi_slice_solve(self, small_lshape_ops):
+        garbage, spec = garbage_after(lambda: solve_lowest(small_lshape_ops, 150))
+        assert garbage == 0
+        assert spec.meta["slices"] >= 3
+
+    def test_split_slice(self, small_lshape_ops, monkeypatch):
+        calls = TestSpectrumSlicing.spoil(monkeypatch, {1})
+        garbage, _ = garbage_after(
+            lambda: solve_lowest(small_lshape_ops, SLICE_MODES + 20))
+        assert garbage == 0
+        lo, hi = calls[0]
+        assert calls[1:3] == [(lo, 0.5 * (lo + hi)), (0.5 * (lo + hi), hi)]
+
+    def test_fem_spectrum(self):
+        garbage, _ = garbage_after(lambda: fem_spectrum(make_lshape(), 0.04, 150))
+        assert garbage == 0
