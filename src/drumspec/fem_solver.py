@@ -1,58 +1,53 @@
 """Graded-mesh P1 finite elements for Dirichlet eigenvalues.
 
-Meshing is two-level: the spring mesher meshes the domain once at the
-coarse size n h, and every coarse triangle is then split into n^2 similar
-ones whose nodes are shared along the coarse edges.  n = ceil(COARSE_SIZE
-w / h), with COARSE_SIZE = 0.1 and w the largest distance between two
-points of the outer loop; w rather than ``domain.diameter`` (the diagonal
-of the bounding box) keeps n the same when the domain turns.  This gives
-n = 15 on the L-shape at h=0.01 (11,791 dofs against 11,597 from the
-spring mesher alone) and n = 5 on the GWW drums at h=0.07, where gww-b's
-coarse mesh has a 14.5 deg angle and is remade at n = 4.
+Meshing is two-level: the spring mesher meshes the domain once, uniformly,
+at the coarse size n h, and every coarse triangle is then split into n^2
+similar ones whose nodes are shared along the coarse edges.  n =
+ceil(COARSE_SIZE w / h), with COARSE_SIZE = 0.1 and w the largest
+distance between two points of the outer loop.  This gives n = 15 on the
+L-shape at h=0.01 (8,776 dofs) and n = 5 on the GWW drums at h=0.07,
+where gww-b's subdivided mesh has a 19.6 deg angle and is remade at n = 4.
 
-The spring mesher is a force-equilibrium Delaunay scheme: boundary points
-are walked at the local target size and held fixed, interior points start
-on a hex lattice (plus radial fans inside reentrant-corner grading zones,
-where the target size falls like r^GRADING towards the corner) and relax
-under repulsion-only edge springs.  A corner is graded when its angle
-theta exceeds 1.01 pi, where its leading singular exponent pi/theta is
-below 0.99: the kinks of a few 1e-5 rad that a reloaded spline curve keeps
-at its junctions are corners, but not graded.  The springs follow the
-edges of the last Delaunay triangulation, which is redone only once some
-interior point has moved RETRI_MOVE = 0.3 local target sizes from where it
-saw the point (Persson & Strang 2004), and once more at the end.  Stale
-springs still repel, so the relaxation needs no fresh connectivity at
-every step: against a 0.1 trigger, 0.3 cut the Delaunay calls per mesh
-from 19-22 to 8-9 on the L-shape at h=0.01 and the GWW drums at h=0.07.
-Flat slivers along the boundary are dropped from the final triangles.
+The spring mesher is a force-equilibrium Delaunay scheme at the one size
+h: boundary points are walked at h and held fixed, interior points start
+on a hex lattice and relax under repulsion-only edge springs.  The lattice
+is laid in the domain's own frame, with its origin at the start of the
+outer loop's first segment and its x-axis along that segment's chord, and
+every other length is h or w; so a moved domain gets the moved mesh, and
+its modes agree to rounding.  The springs follow the edges of the last
+Delaunay triangulation, which is redone only once some interior point has
+moved RETRI_MOVE = 0.3 h from where it saw the point (Persson & Strang
+2004), and once more at the end.  Stale springs still repel, so the
+relaxation needs no fresh connectivity at every step.  Flat slivers along
+the boundary are dropped from the final triangles.
 
-The spring mesher's angles depend on when it happens to retriangulate (on
-the holed square it returned 1.58 deg at h=0.05 and 0.26 deg at h=0.02),
-and a coarse mesh of a few dozen points is more fragile still.  So a
-coarse mesh is kept only if it conforms and every angle is at least
-MIN_ANGLE_DEG = 20 deg; otherwise the coarse step is redone with n - 1,
-n - 2, ..., down to n = 1, the spring mesher alone.  The subdivided mesh
-must pass the same floor, and mesh_domain raises MeshError, naming the
-angle, rather than return a mesh below it.
+The spring mesher's angles depend on when it happens to retriangulate, and
+a coarse mesh of a few dozen points is fragile.  So a coarse mesh is kept
+only if it conforms and every angle is at least MIN_ANGLE_DEG = 20 deg;
+otherwise the coarse step is redone with n - 1, n - 2, ..., down to n = 1,
+the spring mesher alone.  The subdivided mesh must pass the same floor,
+and mesh_domain raises MeshError, naming the angle, rather than return a
+mesh below it.
 
-Subdivision keeps the coarse angles except at graded corners and curves.
-Grading at the coarse level ends at the coarse triangles, so in each one
-that touches a graded corner the sub-nodes are pulled towards it: rho = 1
-minus the corner's barycentric weight becomes rho^CORNER_REMAP, with
-CORNER_REMAP = 3/2.  The size law's own exponent 1/(1 - GRADING) = 2
-dropped the smallest angles at h=0.02 to 16.2 deg (L-shape, gww-a) and
-13.9 deg (gww-b).  A new boundary node is ``point_at`` of
-its interpolated segment parameter, so it lies on its curve, and the
-sub-nodes of a coarse triangle along a curve follow the curve's offset
-from the coarse chord, fading to zero at the opposite vertex.  Coarse
-chords keep their sagitta below (n h)^2/diam, so the fine chords' is about
-h^2/diam; ``chord_error`` is measured on the fine chords.  The fine
-vertices are numbered row-major (by y, then x) before assembly.  Numbered
-as the subdivision makes them (coarse vertices, then coarse edges, then
-coarse triangles), the sparse LU of K - sigma M on the L-shape at h=0.01
-took 176 ms instead of 55 ms to factor and 2.9 ms instead of 1.2 ms per
-solve (medians on a 2-core machine), at a similar fill (0.68 million
-nonzeros in L and U against 0.73 million).
+Subdivision keeps the coarse angles except at graded corners and curves,
+and it is the only grading.  A corner is graded when its angle theta
+exceeds 1.01 pi, where its leading singular exponent pi/theta is below
+0.99: the kinks of a few 1e-5 rad that a reloaded spline curve keeps at
+its junctions are corners, but not graded.  In each coarse triangle that
+touches a graded corner the sub-nodes are pulled towards it: rho = 1 minus
+the corner's barycentric weight becomes rho^CORNER_REMAP, with
+CORNER_REMAP = 3/2.  A new boundary node is ``point_at`` of its
+interpolated segment parameter, so it lies on its curve, and the sub-nodes
+of a coarse triangle along a curve follow the curve's offset from the
+coarse chord, fading to zero at the opposite vertex.  Coarse chords keep
+their sagitta below (n h)^2/w, so the fine chords' is about h^2/w;
+``chord_error`` is measured on the fine chords.  The fine vertices are
+numbered row-major (by y, then x) before assembly.  Numbered as the
+subdivision makes them (coarse vertices, then coarse edges, then coarse
+triangles), the sparse LU of K - sigma M on the L-shape at h=0.01 took
+176 ms instead of 55 ms to factor and 2.9 ms instead of 1.2 ms per solve
+(medians on a 2-core machine), at a similar fill (0.68 million nonzeros
+in L and U against 0.73 million).
 
 Assembly uses the exact per-triangle linear-element formulas; the Dirichlet
 condition is imposed by eliminating boundary rows and columns.  The lowest
@@ -89,15 +84,13 @@ from .geometry import _loops_contain
 
 PI = math.pi
 
-# Exponent of the target size h * (r/R0)^GRADING near reentrant corners.
-GRADING = 0.5
 RELAX_ITERS = 40
 RELAX_STEP = 0.2
-# Retriangulate once a point moves this many local sizes.  0.3 rather
+# Retriangulate once a point moves this many sizes.  0.3 rather
 # than 0.1 halves the Qhull calls and raised the 1st-percentile angle of
 # every non-convex test domain; 0.5 let a moved L-shape fall to 20.5 deg.
 RETRI_MOVE = 0.3
-# The coarse mesh is made at n h with n = ceil(COARSE_SIZE * diam / h).
+# The coarse mesh is made at n h with n = ceil(COARSE_SIZE * width / h).
 COARSE_SIZE = 0.1
 # Every angle of a returned mesh is at least this.
 MIN_ANGLE_DEG = 20.0
@@ -148,25 +141,6 @@ class DiscreteOperatorPair:
     mesh: Mesh
 
 
-def _size_function(h, diam, reentrant_vertices):
-    """Target edge length field: h away from reentrant corners, graded like
-    h * (r/R0)^GRADING inside a zone of radius R0 = diam/4 around each."""
-    zone = diam / 4.0
-    floor_ratio = h / diam
-    verts = np.asarray(reentrant_vertices, dtype=float).reshape(-1, 2)
-
-    def size(points):
-        pts = np.atleast_2d(points)
-        s = np.full(len(pts), h)
-        for v in verts:
-            r = np.linalg.norm(pts - v[None, :], axis=1)
-            ratio = np.clip(r / zone, floor_ratio, 1.0)
-            s = np.minimum(s, h * ratio ** GRADING)
-        return s
-
-    return size
-
-
 def _hex_lattice(bbox_lo, bbox_hi, spacing):
     dy = spacing * math.sqrt(3) / 2.0
     ys = np.arange(bbox_lo[1] + 0.5 * dy, bbox_hi[1], dy)
@@ -180,32 +154,11 @@ def _hex_lattice(bbox_lo, bbox_hi, spacing):
     return np.concatenate(rows, axis=0)
 
 
-def _corner_fans(reentrant, size_fn, h, diam):
-    """Deterministic graded point fans inside the zones of the reentrant
-    corners, each fan opening from its corner's outgoing tangent."""
-    zone = diam / 4.0
-    size_min = h * (h / diam) ** GRADING
-    fans = []
-    for c in reentrant:
-        phi0 = c.phi_out
-        r = 1.6 * size_min
-        while r < zone:
-            s = float(size_fn(c.vertex + r * np.array([math.cos(phi0), math.sin(phi0)]))[0])
-            n_phi = max(1, int(math.floor(c.theta * r / s)))
-            pad = 0.6 * s / r
-            phis = phi0 + pad + (c.theta - 2 * pad) * (np.arange(n_phi) + 0.5) / n_phi
-            ring = c.vertex[None, :] + r * np.column_stack([np.cos(phis), np.sin(phis)])
-            fans.append(ring)
-            r += s
-    if not fans:
-        return np.empty((0, 2))
-    return np.concatenate(fans, axis=0)
-
-
 def mesh_domain(domain, h):
     """Triangulate a DomainSpec with target size h, graded towards reentrant
     corners: the spring mesher at the coarse size n h, then every coarse
-    triangle split into n^2 (see the module docstring).
+    triangle split into n^2, those at a graded corner remapped (see the
+    module docstring).
 
     Raises MeshError when the requested size cannot resolve the geometry
     (e.g. a segment shorter than a couple of steps), naming the offender,
@@ -214,14 +167,14 @@ def mesh_domain(domain, h):
     """
     if h <= 0:
         raise MeshError("target size h must be positive")
-    diam = domain.diameter
-    if h > diam / 4.0:
-        raise MeshError(f"h={h:g} too coarse for a domain of diameter {diam:g}")
+    width = _width(domain)
+    if h > width / 4.0:
+        raise MeshError(f"h={h:g} too coarse for a domain of width {width:g}")
     # The grading rule of the module docstring (theta > 1.01 pi).
     reentrant = [c for c in domain.corners if c.theta > 1.01 * PI]
-    for n in range(math.ceil(COARSE_SIZE * _width(domain) / h), 0, -1):
+    for n in range(math.ceil(COARSE_SIZE * width / h), 0, -1):
         try:
-            coarse, params = _spring_mesh(domain, n * h, reentrant)
+            coarse, params = _spring_mesh(domain, n * h)
             _check_min_angle(coarse)
             mesh = _subdivide(coarse, params, domain, n, h, reentrant)
             _check_min_angle(mesh)
@@ -232,12 +185,12 @@ def mesh_domain(domain, h):
 
 
 def _width(domain):
-    """The largest distance between two points of the outer loop (segment
-    ends, and 64 chords per arc or curve).  Unlike ``domain.diameter``, the
-    diagonal of the bounding box, it does not change when the domain turns."""
+    """The largest distance between two points of the outer loop's polyline
+    (segment ends, and 64 chords per arc or curve).  Unlike
+    ``domain.diameter``, the diagonal of the bounding box, it does not
+    change when the domain turns."""
     from scipy.spatial import ConvexHull
-    pts = np.concatenate([s.sample(1 if s.kind == "line" else 64)[:-1]
-                          for s in domain.loops[0].segments])
+    pts = domain._polylines[0]
     hull = pts[ConvexHull(pts).vertices]
     return float(np.sqrt(np.max(np.sum((hull[:, None] - hull[None]) ** 2, axis=-1))))
 
@@ -249,13 +202,11 @@ def _check_min_angle(mesh):
                         f"{MIN_ANGLE_DEG:g} deg floor")
 
 
-def _spring_mesh(domain, h, reentrant):
-    """The spring mesher at target size h: the Mesh, and for each of its
+def _spring_mesh(domain, h):
+    """The spring mesher at the size h: the Mesh, and for each of its
     boundary loops the flat segment index and the segment parameter of
     every loop vertex."""
-    diam = domain.diameter
-    size_fn = _size_function(h, diam, [c.vertex for c in reentrant])
-    sagitta = h * h / diam
+    sagitta = h * h / _width(domain)
 
     boundary_loops = []
     boundary_pts = []
@@ -264,8 +215,8 @@ def _spring_mesh(domain, h, reentrant):
     for li, loop in enumerate(domain.loops):
         pieces, segs, us = [], [], []
         for si, seg in enumerate(loop.segments):
-            pts, u = seg.walk(size_fn, sagitta=sagitta)
-            if seg.length < 2.0 * size_fn(seg.start)[0] / 3.0:
+            pts, u = seg.walk(h, sagitta=sagitta)
+            if seg.length < 2.0 * h / 3.0:
                 raise MeshError(
                     f"segment {si} of loop {li} (length {seg.length:g}) is "
                     f"too short for h={h:g}")
@@ -282,57 +233,44 @@ def _spring_mesh(domain, h, reentrant):
     n_bdry = len(boundary)
     poly_loops = boundary_pts  # discrete polygons used for containment
 
-    # Interior seeding: hex lattice where the size field is flat, radial
-    # fans inside grading zones.
-    lo = boundary.min(axis=0)
-    hi = boundary.max(axis=0)
-    lattice = _hex_lattice(lo, hi, h)
-    fans = _corner_fans(reentrant, size_fn, h, diam)
+    # Interior seeds: a hex lattice in the frame of the outer loop's first
+    # segment (origin at its start, x-axis along its chord), so that a
+    # moved domain gets the moved mesh, keeping the lattice points inside
+    # the domain and over 0.55 h from its boundary.
+    first = domain.loops[0].segments[0]
+    ex = (first.end - first.start) / np.linalg.norm(first.end - first.start)
+    frame = np.array([ex, [-ex[1], ex[0]]])
+    local = (boundary - first.start) @ frame.T
+    lattice = first.start + _hex_lattice(local.min(axis=0), local.max(axis=0),
+                                         h) @ frame
+    interior = lattice[_loops_contain(poly_loops, lattice)]
     from scipy.spatial import cKDTree
-    tree = cKDTree(boundary)
-
-    def _filter_seeds(pts):
-        """The seeds inside the domain and over 0.55 local sizes from its
-        boundary."""
-        if not len(pts):
-            return np.empty((0, 2))
-        pts = pts[_loops_contain(poly_loops, pts)]
-        if not len(pts):
-            return np.empty((0, 2))
-        d_bnd, _ = tree.query(pts)
-        return pts[d_bnd > 0.55 * size_fn(pts)]
-
-    # Lattice points inside grading zones are dropped: the fans own them.
-    if len(lattice):
-        lattice = lattice[size_fn(lattice) > 0.95 * h]
-    interior = np.concatenate([_filter_seeds(lattice), _filter_seeds(fans)], axis=0)
+    interior = interior[cKDTree(boundary).query(interior)[0] > 0.55 * h]
 
     points = np.concatenate([boundary, interior], axis=0)
     if len(points) < 6:
         raise MeshError("too few points; decrease h")
 
     # Force-equilibrium relaxation of interior points.  The edge list is
-    # rebuilt only once a free point has moved RETRI_MOVE local sizes away
-    # from where the last triangulation saw it (Persson & Strang 2004).
+    # rebuilt only once a free point has moved RETRI_MOVE h away from where
+    # the last triangulation saw it (Persson & Strang 2004).
     free = np.zeros(len(points), dtype=bool)
     free[n_bdry:] = True
     anchor = None
     retriangulations = 0
     for _ in range(RELAX_ITERS):
         if anchor is None or np.any(np.linalg.norm(
-                points[free] - anchor, axis=1) > anchor_move):
+                points[free] - anchor, axis=1) > RETRI_MOVE * h):
             simplices = _triangulate(points, poly_loops)
             retriangulations += 1
             e0, e1 = np.divmod(np.unique(_edge_keys(
                 simplices, np.roll(simplices, -1, axis=1), len(points))),
                 len(points))
             anchor = points[free]
-            anchor_move = RETRI_MOVE * size_fn(anchor)
         vec = points[e1] - points[e0]
         length = np.linalg.norm(vec, axis=1)
-        mid = 0.5 * (points[e0] + points[e1])
-        L0 = SPRING_SCALE * size_fn(mid)
-        fmag = np.maximum(L0 - length, 0.0) / np.maximum(length, 1e-30)
+        fmag = np.maximum(SPRING_SCALE * h - length, 0.0) \
+            / np.maximum(length, 1e-30)
         ends = np.concatenate([e0, e1])
         pull = np.concatenate([-fmag[:, None] * vec, fmag[:, None] * vec])
         force = np.column_stack([np.bincount(ends, pull[:, k], len(points))
@@ -342,7 +280,7 @@ def _spring_mesh(domain, h, reentrant):
         escaped = np.nonzero(free)[0][~_loops_contain(poly_loops, points[free])]
         points[escaped] = prev[escaped]
     # Every mesh runs all RELAX_ITERS: the largest move of the last one is
-    # still 0.0066-0.044 h on the square, disk, L-shape and GWW drums.
+    # still 0.0039-0.012 h on the square, disk, L-shape and GWW drums.
     max_move = np.max(np.linalg.norm(points[free] - prev[free], axis=1)) \
         if free.any() else 0.0
 
@@ -821,8 +759,7 @@ def solve_lowest(ops, count, seed=0):
         trusted, cutoff=float(trusted[-1]), source="fem",
         domain_label=mesh.domain_label,
         area_hint=mesh.area, perimeter_hint=mesh.perimeter,
-        meta={"h": mesh.h, "grading": GRADING,
-              "chord_error": mesh.chord_error,
+        meta={"h": mesh.h, "chord_error": mesh.chord_error,
               "computed_modes": count, "trusted_modes": n_ok,
               "slices": slices, "inertia_shift": lo, "inertia_count": below_lo,
               "max_residual": float(rel.max()),

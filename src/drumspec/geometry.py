@@ -123,32 +123,19 @@ class _Segment:
         constant speed)."""
         return s / self.length
 
-    def walk(self, size_fn, sagitta):
-        """Points along the segment spaced by a local size function, which
-        maps points of shape (n, 2) to sizes of shape (n,).
-
-        Returns the start point and interior points, excluding the segment
-        end (loop walks chain segment outputs), and their parameters.  Walks
-        in arclength with steps given by the size function, capped by
-        ``step_cap``; the step that would pass the end is recorded and all
-        arclengths are rescaled by 1/overshoot so the walk ends exactly at
-        the segment end.  Walking in arclength rather than in the
-        parameter puts the points of one curve in the same places under
-        any parametrization (a reloaded spline's, say).
+    def walk(self, step, sagitta):
+        """The start point and the interior points that cut the segment into
+        k pieces of equal arclength, k = ceil(length (1 - 1e-9) / min(step,
+        ``step_cap``)), and their parameters; the segment end is left out
+        (loop walks chain segment outputs).  Walking in arclength rather
+        than in the parameter puts the points of one curve in the same
+        places under any parametrization (a reloaded spline's, say).
         """
-        cap = self.step_cap(sagitta)
-        ss = [0.0]
-        s = 0.0
-        while True:
-            step = max(size_fn(self.point_at(self.param_at(np.array([s]))))[0],
-                       1e-12)
-            s += min(step, cap)
-            if s >= self.length * (1.0 - 1e-9):
-                break
-            ss.append(s)
-            if len(ss) > 200000:
-                raise InvalidDomainError("boundary walk failed to terminate")
-        us = self.param_at(np.array(ss) * (self.length / s))
+        k = math.ceil(self.length * (1.0 - 1e-9)
+                      / min(step, self.step_cap(sagitta)))
+        if k > 200000:
+            raise InvalidDomainError("boundary walk failed to terminate")
+        us = self.param_at(self.length * np.arange(k) / k)
         return self.point_at(us), us
 
     def to_dict(self):
@@ -326,13 +313,11 @@ class CurveSegment(_Segment):
 
 
 class Corner:
-    """Boundary vertex with interior opening angle theta in (0, 2pi); the
-    boundary leaves it in direction ``phi_out`` (radians)."""
+    """Boundary vertex with interior opening angle theta in (0, 2pi)."""
 
-    def __init__(self, vertex, theta, phi_out):
+    def __init__(self, vertex, theta):
         self.vertex = _as_point(vertex)
         self.theta = float(theta)
-        self.phi_out = float(phi_out)
 
     def __repr__(self):
         return (f"Corner(vertex=({self.vertex[0]:.6g}, {self.vertex[1]:.6g}), "
@@ -498,13 +483,12 @@ def detect_corners(loops):
         for j, seg in enumerate(segs):
             nxt = segs[(j + 1) % len(segs)]
             u, w = seg.tangent_out(), nxt.tangent_in()
-            phi_out = math.atan2(w[1], w[0])
-            tau = _wrap_pi(phi_out - math.atan2(u[1], u[0]))
+            tau = _wrap_pi(math.atan2(w[1], w[0]) - math.atan2(u[1], u[0]))
             if abs(abs(tau) - math.pi) < SLIT_TOL:
                 raise InvalidDomainError(
                     f"cusp or slit at junction {j} (interior angle 0 or 2pi)")
             if abs(tau) > ANGLE_TOL:
-                corners.append(Corner(nxt.start, math.pi - tau, phi_out))
+                corners.append(Corner(nxt.start, math.pi - tau))
     return corners
 
 

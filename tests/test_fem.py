@@ -68,8 +68,8 @@ def element_matrices(coords):
 
 
 def interior_min_angle_deg(mesh):
-    """Smallest angle over triangles that avoid grading zones and the
-    boundary chords (all-interior-vertex triangles see neither)."""
+    """Smallest angle over triangles that avoid the boundary chords (those
+    whose vertices are all interior)."""
     tri_all_int = ~np.any(mesh.is_boundary[mesh.triangles], axis=1)
     if not tri_all_int.any():
         return 60.0
@@ -220,7 +220,8 @@ class TestMeshing:
         d = np.linalg.norm(lshape_mesh.vertices - corner, axis=1)
         near = d[d > 1e-12].min()
         h = lshape_mesh.h
-        # smallest spacing near the corner is of order h^(1+grading)
+        # the subdivision's remap pulls the nearest node to about
+        # n h (1/n)^CORNER_REMAP = h / sqrt(n) of the corner
         assert near <= 3.0 * h * (h / lshape_mesh.domain_diameter
                                   if hasattr(lshape_mesh, "domain_diameter")
                                   else h / math.sqrt(2)) ** 0.5
@@ -297,13 +298,18 @@ class TestRetriangulationTrigger:
 
     def test_unrelaxed_graded_mesh_is_refused(self, delaunay_calls,
                                               monkeypatch):
-        # Without retriangulation the graded gww-a falls below the angle
-        # floor at every n from 5 down to 1 (two calls each); at n = 1, the
-        # spring mesher alone, its smallest angle is 0.29 deg.
+        # Relaxed, this quadrilateral meshes at h=0.1 with n = 2 and a
+        # smallest angle of 28.7 deg.  Without retriangulation it falls
+        # below the angle floor at n = 2 and at n = 1, the spring mesher
+        # alone (10.5 deg), two calls each.
+        quad = make_polygon([(-0.574, 0.685), (-0.685, -0.843),
+                             (-0.306, -0.999), (0.523, -0.632)])
+        assert mesh_domain(quad, 0.1).meta["subdivisions"] == 2
+        delaunay_calls.clear()
         monkeypatch.setattr(fem_solver, "RETRI_MOVE", math.inf)
         with pytest.raises(MeshError, match="below the 20 deg floor"):
-            mesh_domain(gww_a(), 0.07)
-        assert len(delaunay_calls) == 2 * 5
+            mesh_domain(quad, 0.1)
+        assert len(delaunay_calls) == 2 * 2
 
 
 def all_angles_meet_the_floor(mesh):
@@ -316,20 +322,28 @@ def all_angles_meet_the_floor(mesh):
                 and _min_angles_deg(mesh.vertices, mesh.triangles).min() >= 20.0)
 
 
+MESH_SIZES = [0.1, 0.05, 0.02, 0.01]
+
+
 class TestTwoLevelMesh:
-    @pytest.mark.parametrize("h", [0.05, 0.02])
+    @pytest.mark.parametrize("h", MESH_SIZES)
     def test_holed_square_meets_the_angle_floor(self, h):
         # the spring mesher alone left 1.58 deg at h=0.05 and 0.26 deg at
-        # h=0.02 here
-        mesh = mesh_domain(make_square_with_square_hole(), h)
-        _check_conformity(mesh)
-        assert all_angles_meet_the_floor(mesh)
+        # h=0.02 on the 0.5 hole; with the coarse mesh graded towards the
+        # reentrant corners, the 0.3 hole failed at every size
+        for inner in (0.5, 0.3):
+            mesh = mesh_domain(make_square_with_square_hole(1.0, inner), h)
+            _check_conformity(mesh)
+            assert all_angles_meet_the_floor(mesh), inner
 
     @pytest.mark.parametrize("label", sorted(EXACT_SEGMENT_DOMAINS))
     def test_every_reference_domain_meets_the_floor(self, label):
-        mesh = mesh_domain(EXACT_SEGMENT_DOMAINS[label](), 0.02)
-        assert all_angles_meet_the_floor(mesh)
-        assert mesh.meta["subdivisions"] > 1
+        for h in MESH_SIZES:
+            mesh = mesh_domain(EXACT_SEGMENT_DOMAINS[label](), h)
+            assert all_angles_meet_the_floor(mesh), h
+            # n = ceil(0.1 w / h) is 1 only for the unit-width triangle at
+            # h=0.1
+            assert mesh.meta["subdivisions"] > 1 or h == 0.1
 
     def test_floor_failure_names_the_angle(self, monkeypatch):
         # no triangle other than an equilateral one has all angles >= 60
@@ -344,11 +358,11 @@ class TestTwoLevelMesh:
         sizes = []
         spring_mesh = fem_solver._spring_mesh
 
-        def first_fails(domain, h, reentrant):
+        def first_fails(domain, h):
             sizes.append(h)
             if len(sizes) == 1:
                 raise MeshError("rejected")
-            return spring_mesh(domain, h, reentrant)
+            return spring_mesh(domain, h)
 
         monkeypatch.setattr(fem_solver, "_spring_mesh", first_fails)
         mesh = mesh_domain(make_lshape(), 0.02)
@@ -358,13 +372,13 @@ class TestTwoLevelMesh:
         assert mesh.n_triangles % 49 == 0
 
     def test_gww_b_retries_at_benchmark_size(self, monkeypatch):
-        # n = 5 gives a coarse angle of 14.5 deg, n = 4 passes
+        # the corner remap leaves a 19.6 deg angle at n = 5, n = 4 passes
         sizes = []
         spring_mesh = fem_solver._spring_mesh
 
-        def recording(domain, h, reentrant):
+        def recording(domain, h):
             sizes.append(h)
-            return spring_mesh(domain, h, reentrant)
+            return spring_mesh(domain, h)
 
         monkeypatch.setattr(fem_solver, "_spring_mesh", recording)
         mesh = mesh_domain(make_polygon(ISOSPECTRAL_PAIR["gww-b"]), 0.07)
@@ -452,9 +466,21 @@ class TestRigidMotions:
                            0.02, 40).eigenvalues
         ref = solve_lowest(assemble(lshape_mesh), 40).eigenvalues
         assert len(lam) == len(ref) == 40
-        # the two meshes differ, so the modes agree to the discretisation
-        # error of the mesh difference, not to rounding
-        assert_allclose(lam, ref, rtol=2.5e-3)
+        # the moved mesh is the unmoved mesh moved, so the modes agree to
+        # rounding
+        assert_allclose(lam, ref, rtol=1e-10)
+
+    @pytest.mark.parametrize("domain, h", [(make_lshape, 0.05), (gww_a, 0.1)])
+    def test_every_motion_gives_the_same_mesh_and_modes(self, moved, domain,
+                                                        h):
+        dom = domain()
+        ref = mesh_domain(dom, h)
+        lam = solve_lowest(assemble(ref), 20).eigenvalues
+        for index in range(12):
+            mesh = mesh_domain(moved(dom, *rigid_motion(index)), h)
+            assert mesh.n_vertices == ref.n_vertices
+            assert_allclose(solve_lowest(assemble(mesh), 20).eigenvalues,
+                            lam, rtol=1e-10)
 
 
 def hand_mesh(vertices, triangles, boundary_loops):

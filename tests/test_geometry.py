@@ -261,7 +261,7 @@ class TestParametric:
         save_domain(dom, tmp_path / "ellipse.yaml")
         loaded = load_domain(tmp_path / "ellipse.yaml")
         seg = dom.loops[0].segments[0]
-        pts, u = seg.walk(lambda p: np.full(len(p), 0.1), sagitta=1.0)
+        pts, u = seg.walk(0.1, sagitta=1.0)
         assert_allclose(seg.point_at(u), pts, rtol=0, atol=0)
         t = np.linspace(0.0, 1.0, 20001)
         speed = PI * np.hypot(np.sin(PI * t), 0.6 * np.cos(PI * t))
@@ -269,9 +269,34 @@ class TestParametric:
                             * (t[1] - t[0])])
         steps = np.diff(np.append(np.interp(u, t, s), s[-1]))
         assert_allclose(steps, steps.mean(), rtol=1e-4)
-        again, _ = loaded.loops[0].segments[0].walk(
-            lambda p: np.full(len(p), 0.1), sagitta=1.0)
+        again, _ = loaded.loops[0].segments[0].walk(0.1, sagitta=1.0)
         assert_allclose(again, pts, rtol=0, atol=1e-5)
+
+    @pytest.mark.parametrize("seg", [
+        LineSegment((0, 0), (1, 0)),
+        LineSegment((0.2, -0.3), (0.9, 0.4)),
+        ArcSegment((1, 0), (0, 1), (0, 0), 1.0),
+        make_ellipse(1.0, 0.6).loops[0].segments[0],
+    ], ids=["unit-line", "slanted-line", "quarter-arc", "half-ellipse"])
+    @pytest.mark.parametrize("step", [0.1, 0.07, 0.25, 1.0 / 3.0])
+    def test_walk_matches_the_stepping_loop(self, seg, step):
+        # Reference: step by min(step, step_cap) until the end is within
+        # a relative 1e-9, then stretch the steps to end on the end.
+        cap = min(step, seg.step_cap(0.01))
+        ss, s = [0.0], cap
+        while s < seg.length * (1.0 - 1e-9):
+            ss.append(s)
+            s += cap
+        want = seg.param_at(np.array(ss) * (seg.length / s))
+        pts, u = seg.walk(step, 0.01)
+        assert len(u) == len(want)
+        assert_allclose(u, want, rtol=0, atol=1e-12)
+        assert_allclose(pts, seg.point_at(want), rtol=0, atol=1e-12)
+
+    def test_runaway_walk_is_refused(self):
+        # a million points: refused before any is made
+        with pytest.raises(InvalidDomainError, match="failed to terminate"):
+            LineSegment((0, 0), (1, 0)).walk(1e-6, 1.0)
 
 
 class TestValidation:
