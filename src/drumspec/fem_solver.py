@@ -1,25 +1,31 @@
 """Graded-mesh P1 finite elements for Dirichlet eigenvalues.
 
 Meshing is two-level: the spring mesher meshes the domain once, uniformly,
-at the coarse size n h, and every coarse triangle is then split into n^2
-similar ones whose nodes are shared along the coarse edges.  n =
-ceil(COARSE_SIZE w / h), with COARSE_SIZE = 0.1 and w the largest
-distance between two points of the outer loop.  This gives n = 15 on the
-L-shape at h=0.01 (8,776 dofs) and n = 5 on the GWW drums at h=0.07,
-where gww-b's subdivided mesh has a 19.6 deg angle and is remade at n = 4.
+with springs that rest at the coarse size n h, and every coarse triangle is
+then split into n^2 similar ones whose nodes are shared along the coarse
+edges.  n = ceil(COARSE_SIZE w / h), with COARSE_SIZE = 0.1 and w the
+largest distance between two points of the outer loop.  This gives n = 15
+on the L-shape at h=0.01 (11,461 dofs) and n = 5 on the GWW drums at
+h=0.07, where gww-b's subdivided mesh has an 18.1 deg angle and is remade
+at n = 4.
 
-The spring mesher is a force-equilibrium Delaunay scheme at the one size
-h: boundary points are walked at h and held fixed, interior points start
-on a hex lattice and relax under repulsion-only edge springs.  The lattice
-is laid in the domain's own frame, with its origin at the start of the
-outer loop's first segment and its x-axis along that segment's chord, and
-every other length is h or w; so a moved domain gets the moved mesh, and
-its modes agree to rounding.  The springs follow the edges of the last
-Delaunay triangulation, which is redone only once some interior point has
-moved RETRI_MOVE = 0.3 h from where it saw the point (Persson & Strang
-2004), and once more at the end.  Stale springs still repel, so the
-relaxation needs no fresh connectivity at every step.  Flat slivers along
-the boundary are dropped from the final triangles.
+The spring mesher is a force-equilibrium Delaunay scheme at one spacing,
+n h / SPRING_SCALE: boundary points are walked at it and held fixed,
+interior points start on a hex lattice of that spacing and relax under
+repulsion-only edge springs of rest length SPRING_SCALE times it, n h.
+Points laid at n h instead give fine edges of about h (a median of
+0.96-1.03 h), 9,226 vertices on the L-shape at h=0.01 against 11,941, and
+a GWW pair at h=0.08 whose first 20 modes disagree by 1.1e-2 against
+2.9e-3.  The lattice is laid in the domain's own frame, with its origin at
+the start of the outer loop's first segment and its x-axis along that
+segment's chord, and every other length is the spacing or w; so a moved
+domain gets the moved mesh, and its modes agree to rounding.  The springs
+follow the edges of the last Delaunay triangulation, which is redone only
+once some interior point has moved RETRI_MOVE = 0.3 spacings from where it
+saw the point (Persson & Strang 2004), and once more at the end.  Stale
+springs still repel, so the relaxation needs no fresh connectivity at
+every step.  Flat slivers along the boundary are dropped from the final
+triangles.
 
 The spring mesher's angles depend on when it happens to retriangulate, and
 a coarse mesh of a few dozen points is fragile.  So a coarse mesh is kept
@@ -40,14 +46,14 @@ CORNER_REMAP = 3/2.  A new boundary node is ``point_at`` of its
 interpolated segment parameter, so it lies on its curve, and the sub-nodes
 of a coarse triangle along a curve follow the curve's offset from the
 coarse chord, fading to zero at the opposite vertex.  Coarse chords keep
-their sagitta below (n h)^2/w, so the fine chords' is about h^2/w;
-``chord_error`` is measured on the fine chords.  The fine vertices are
-numbered row-major (by y, then x) before assembly.  Numbered as the
-subdivision makes them (coarse vertices, then coarse edges, then coarse
-triangles), the sparse LU of K - sigma M on the L-shape at h=0.01 took
-176 ms instead of 55 ms to factor and 2.9 ms instead of 1.2 ms per solve
-(medians on a 2-core machine), at a similar fill (0.68 million nonzeros
-in L and U against 0.73 million).
+their sagitta below (n h / SPRING_SCALE)^2 / w, so the fine chords' is
+below h^2/w; ``chord_error`` is measured on the fine chords.  The fine
+vertices are numbered row-major (by y, then x) before assembly.  Numbered
+as the subdivision makes them (coarse vertices, then coarse edges, then
+coarse triangles), the sparse LU of K - sigma M on the L-shape at h=0.01
+took 176 ms instead of 55 ms to factor and 2.9 ms instead of 1.2 ms per
+solve (medians on a 2-core machine), at a similar fill (0.68 million
+nonzeros in L and U against 0.73 million).
 
 Assembly uses the exact per-triangle linear-element formulas; the Dirichlet
 condition is imposed by eliminating boundary rows and columns.  The lowest
@@ -86,11 +92,11 @@ PI = math.pi
 
 RELAX_ITERS = 40
 RELAX_STEP = 0.2
-# Retriangulate once a point moves this many sizes.  0.3 rather
-# than 0.1 halves the Qhull calls and raised the 1st-percentile angle of
-# every non-convex test domain; 0.5 let a moved L-shape fall to 20.5 deg.
+# Retriangulate once a point moves this many spacings.  Against 0.1, 0.3
+# cut the Delaunay calls per mesh from 7.8 to 3.5 on average (L-shape, GWW
+# drums and holed squares at h = 0.1 to 0.01), at the same smallest angles.
 RETRI_MOVE = 0.3
-# The coarse mesh is made at n h with n = ceil(COARSE_SIZE * width / h).
+# The coarse springs rest at n h, with n = ceil(COARSE_SIZE * width / h).
 COARSE_SIZE = 0.1
 # Every angle of a returned mesh is at least this.
 MIN_ANGLE_DEG = 20.0
@@ -120,7 +126,8 @@ class Mesh:
     # mesh_domain records min_angle_deg (of this mesh, as the benchmark's
     # tracer reads it), subdivisions (n), and two figures of the coarse
     # spring mesh it subdivides: delaunay_calls and last_max_move_h, the
-    # largest interior move of its last relaxation iteration over n h.
+    # largest interior move of its last relaxation iteration over its
+    # spacing.
     meta: dict = field(default_factory=dict)
 
     @property
@@ -156,9 +163,9 @@ def _hex_lattice(bbox_lo, bbox_hi, spacing):
 
 def mesh_domain(domain, h):
     """Triangulate a DomainSpec with target size h, graded towards reentrant
-    corners: the spring mesher at the coarse size n h, then every coarse
-    triangle split into n^2, those at a graded corner remapped (see the
-    module docstring).
+    corners: the spring mesher with springs resting at the coarse size n h,
+    then every coarse triangle split into n^2, those at a graded corner
+    remapped (see the module docstring).
 
     Raises MeshError when the requested size cannot resolve the geometry
     (e.g. a segment shorter than a couple of steps), naming the offender,
@@ -174,7 +181,7 @@ def mesh_domain(domain, h):
     reentrant = [c for c in domain.corners if c.theta > 1.01 * PI]
     for n in range(math.ceil(COARSE_SIZE * width / h), 0, -1):
         try:
-            coarse, params = _spring_mesh(domain, n * h)
+            coarse, params = _spring_mesh(domain, n * h / SPRING_SCALE, width)
             _check_min_angle(coarse)
             mesh = _subdivide(coarse, params, domain, n, h, reentrant)
             _check_min_angle(mesh)
@@ -202,11 +209,11 @@ def _check_min_angle(mesh):
                         f"{MIN_ANGLE_DEG:g} deg floor")
 
 
-def _spring_mesh(domain, h):
-    """The spring mesher at the size h: the Mesh, and for each of its
-    boundary loops the flat segment index and the segment parameter of
-    every loop vertex."""
-    sagitta = h * h / _width(domain)
+def _spring_mesh(domain, h, width):
+    """The spring mesher at the spacing h, for a domain of width ``width``:
+    the Mesh, and for each of its boundary loops the flat segment index and
+    the segment parameter of every loop vertex."""
+    sagitta = h * h / width
 
     boundary_loops = []
     boundary_pts = []
@@ -219,7 +226,7 @@ def _spring_mesh(domain, h):
             if seg.length < 2.0 * h / 3.0:
                 raise MeshError(
                     f"segment {si} of loop {li} (length {seg.length:g}) is "
-                    f"too short for h={h:g}")
+                    f"too short for the coarse spacing {h:g}")
             pieces.append(pts)
             segs.append(np.full(len(u), flat + si))
             us.append(u)
@@ -280,7 +287,7 @@ def _spring_mesh(domain, h):
         escaped = np.nonzero(free)[0][~_loops_contain(poly_loops, points[free])]
         points[escaped] = prev[escaped]
     # Every mesh runs all RELAX_ITERS: the largest move of the last one is
-    # still 0.0039-0.012 h on the square, disk, L-shape and GWW drums.
+    # still 0.0009-0.012 spacings on the square, disk, L-shape and GWW drums.
     max_move = np.max(np.linalg.norm(points[free] - prev[free], axis=1)) \
         if free.any() else 0.0
 

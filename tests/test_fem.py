@@ -16,10 +16,12 @@ from drumspec.analytic_spectra import (
     rectangle_spectrum,
     sector_spectrum,
 )
+from drumspec.classifier import isospectral_compare
 from drumspec.corpus import EXACT_SEGMENT_DOMAINS, ISOSPECTRAL_PAIR
 from drumspec.errors import AssemblyError, EigensolveError, MeshError
 from drumspec.fem_solver import (
     SLICE_MODES,
+    SPRING_SCALE,
     Mesh,
     _check_conformity,
     _factor_shifted,
@@ -207,13 +209,14 @@ class TestMeshing:
         mesh = mesh_domain(dom, 0.05)
         # every boundary vertex, the subdivision's included, is on its curve
         assert np.max(off_curve(mesh.vertices[mesh.is_boundary])) <= 1e-9
-        # chord_error is the largest sagitta of the mesh's boundary chords,
-        # which stays below h^2/diam by construction
+        # chord_error is the largest sagitta of the mesh's boundary chords;
+        # the coarse chords' is at most (n h / SPRING_SCALE)^2 / w, so the
+        # fine chords' is below h^2 / w
         chords = np.concatenate([sagittas(mesh.vertices[loop],
                                           mesh.vertices[np.roll(loop, -1)], li)
                                  for li, loop in enumerate(mesh.boundary_loops)])
         assert mesh.chord_error == pytest.approx(chords.max(), rel=1e-2)
-        assert mesh.chord_error <= 0.05 ** 2 / dom.diameter
+        assert mesh.chord_error <= 0.05 ** 2 / fem_solver._width(dom)
 
     def test_lshape_grading_refines_reentrant_corner(self, lshape_mesh):
         corner = np.array([0.5, 0.5])
@@ -299,9 +302,9 @@ class TestRetriangulationTrigger:
     def test_unrelaxed_graded_mesh_is_refused(self, delaunay_calls,
                                               monkeypatch):
         # Relaxed, this quadrilateral meshes at h=0.1 with n = 2 and a
-        # smallest angle of 28.7 deg.  Without retriangulation it falls
-        # below the angle floor at n = 2 and at n = 1, the spring mesher
-        # alone (10.5 deg), two calls each.
+        # smallest angle of 29.1 deg.  Without retriangulation its coarse
+        # mesh falls below the angle floor at n = 2 (14.2 deg) and at
+        # n = 1, the spring mesher alone (7.5 deg), two calls each.
         quad = make_polygon([(-0.574, 0.685), (-0.685, -0.843),
                              (-0.306, -0.999), (0.523, -0.632)])
         assert mesh_domain(quad, 0.1).meta["subdivisions"] == 2
@@ -328,9 +331,7 @@ MESH_SIZES = [0.1, 0.05, 0.02, 0.01]
 class TestTwoLevelMesh:
     @pytest.mark.parametrize("h", MESH_SIZES)
     def test_holed_square_meets_the_angle_floor(self, h):
-        # the spring mesher alone left 1.58 deg at h=0.05 and 0.26 deg at
-        # h=0.02 on the 0.5 hole; with the coarse mesh graded towards the
-        # reentrant corners, the 0.3 hole failed at every size
+        # a square hole puts four reentrant corners close to one another
         for inner in (0.5, 0.3):
             mesh = mesh_domain(make_square_with_square_hole(1.0, inner), h)
             _check_conformity(mesh)
@@ -358,31 +359,32 @@ class TestTwoLevelMesh:
         sizes = []
         spring_mesh = fem_solver._spring_mesh
 
-        def first_fails(domain, h):
+        def first_fails(domain, h, width):
             sizes.append(h)
             if len(sizes) == 1:
                 raise MeshError("rejected")
-            return spring_mesh(domain, h)
+            return spring_mesh(domain, h, width)
 
         monkeypatch.setattr(fem_solver, "_spring_mesh", first_fails)
         mesh = mesh_domain(make_lshape(), 0.02)
-        # n = ceil(0.1 * sqrt(2) / 0.02) = 8, then 7
-        assert sizes == [8 * 0.02, 7 * 0.02]
+        # n = ceil(0.1 * sqrt(2) / 0.02) = 8, then 7, each laid at the
+        # spacing n h / SPRING_SCALE
+        assert sizes == [8 * 0.02 / SPRING_SCALE, 7 * 0.02 / SPRING_SCALE]
         assert mesh.meta["subdivisions"] == 7
         assert mesh.n_triangles % 49 == 0
 
     def test_gww_b_retries_at_benchmark_size(self, monkeypatch):
-        # the corner remap leaves a 19.6 deg angle at n = 5, n = 4 passes
+        # the corner remap leaves an 18.1 deg angle at n = 5, n = 4 passes
         sizes = []
         spring_mesh = fem_solver._spring_mesh
 
-        def recording(domain, h):
+        def recording(domain, h, width):
             sizes.append(h)
-            return spring_mesh(domain, h)
+            return spring_mesh(domain, h, width)
 
         monkeypatch.setattr(fem_solver, "_spring_mesh", recording)
         mesh = mesh_domain(make_polygon(ISOSPECTRAL_PAIR["gww-b"]), 0.07)
-        assert sizes == [5 * 0.07, 4 * 0.07]
+        assert sizes == [5 * 0.07 / SPRING_SCALE, 4 * 0.07 / SPRING_SCALE]
         assert mesh.meta["subdivisions"] == 4
         assert all_angles_meet_the_floor(mesh)
 
@@ -435,6 +437,16 @@ class TestIsospectralPairMeshes:
         # local-size retriangulation trigger left an 18.8 deg interior angle
         dom = gww_a()
         assert_fills_domain(mesh_domain(dom, 0.02), dom.area)
+
+    @pytest.mark.parametrize("h", [0.07, 0.08])
+    def test_pair_keeps_a_margin_at_benchmark_sizes(self, h):
+        # h=0.07 is the gww-pair workload's size and 0.08 its perfbench
+        # fixture's; both gate the first 20 modes at 1e-2, and the pair
+        # keeps half of that as margin (it reads 1.4e-3 and 2.9e-3)
+        a, b = (fem_spectrum(make_polygon(ISOSPECTRAL_PAIR[label]), h, 20)
+                for label in ("gww-a", "gww-b"))
+        same, dev = isospectral_compare(a, b, count=20, rel_tol=5e-3)
+        assert same, dev
 
 
 def rigid_motion(index):
@@ -711,7 +723,7 @@ class TestSpectrumSlicing:
     def test_count_ending_on_a_slice_boundary(self, small_lshape_ops,
                                               trust_all_modes):
         dense = dense_eigenvalues(small_lshape_ops)
-        count = 238
+        count = 222
         spec = solve_lowest(small_lshape_ops, count)
         assert_allclose(spec.eigenvalues, dense[:count], rtol=1e-10, atol=0)
         assert spec.meta["slices"] <= planned_slices(count) + 1
