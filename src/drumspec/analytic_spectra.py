@@ -100,21 +100,28 @@ def _finish(values, cutoff, source, label, area=None, perimeter=None, meta=None)
                     area_hint=area, perimeter_hint=perimeter, meta=meta)
 
 
+def _check_cutoff(cutoff):
+    if not 0 < cutoff < math.inf:
+        raise ValueError(f"cutoff must be finite and positive, got {cutoff!r}")
+
+
+def _pairs(m_max, n_max):
+    """Every index pair 1 <= m <= m_max, 1 <= n <= n_max, as two flat arrays."""
+    m, n = np.meshgrid(np.arange(1, m_max + 1), np.arange(1, n_max + 1),
+                       indexing="ij")
+    return m.ravel(), n.ravel()
+
+
 def rectangle_spectrum(a, b, cutoff):
     """All lambda = pi^2 (m^2/a^2 + n^2/b^2) <= cutoff, m, n >= 1."""
     if a <= 0 or b <= 0:
         raise ValueError("rectangle sides must be positive")
+    _check_cutoff(cutoff)
     pi2 = math.pi ** 2
-    m_max = int(math.floor(a * math.sqrt(cutoff) / math.pi))
-    vals = []
-    for m in range(1, m_max + 1):
-        rem = cutoff - pi2 * m * m / (a * a)
-        if rem < pi2 / (b * b):
-            continue
-        n_max = int(math.floor(b * math.sqrt(rem) / math.pi))
-        lam_m = pi2 * m * m / (a * a) + pi2 * np.arange(1, n_max + 1) ** 2 / (b * b)
-        vals.append(lam_m)
-    flat = np.concatenate(vals) if vals else np.array([])
+    # lambda exceeds pi^2 m^2 / a^2 and pi^2 n^2 / b^2
+    m, n = _pairs(int(a * math.sqrt(cutoff) / math.pi),
+                  int(b * math.sqrt(cutoff) / math.pi))
+    flat = pi2 * m * m / (a * a) + pi2 * n ** 2 / (b * b)
     return _finish(flat, cutoff, "analytic", f"rectangle-{a}x{b}",
                    area=a * b, perimeter=2 * (a + b))
 
@@ -271,6 +278,7 @@ def disk_spectrum(radius, cutoff):
     """Dirichlet disk: lambda = (j_{nu,k}/R)^2, angular orders doubled."""
     if radius <= 0:
         raise ValueError("radius must be positive")
+    _check_cutoff(cutoff)
     upper = radius * math.sqrt(cutoff)
     # The first zero of J_nu exceeds nu, so orders from upper on add nothing.
     lam0 = (bessel_j_zeros([0], upper) / radius) ** 2
@@ -286,12 +294,10 @@ def sector_spectrum(theta, radius, cutoff):
         raise ValueError("sector opening angle must lie in (0, 2*pi)")
     if radius <= 0:
         raise ValueError("radius must be positive")
+    _check_cutoff(cutoff)
     upper = radius * math.sqrt(cutoff)
-    orders = []
-    m = 1
-    while m * math.pi / theta <= upper:  # first zero exceeds nu
-        orders.append(m * math.pi / theta)
-        m += 1
+    # The first zero of J_nu exceeds nu, so orders above upper add nothing.
+    orders = np.arange(1, math.floor(upper * theta / math.pi) + 1) * math.pi / theta
     flat = (bessel_j_zeros(orders, upper) / radius) ** 2
     area = 0.5 * theta * radius ** 2
     return _finish(flat, cutoff, "analytic", f"sector-{theta:.6g}-R{radius}",
@@ -308,21 +314,12 @@ def equilateral_triangle_spectrum(side, cutoff):
     """
     if side <= 0:
         raise ValueError("side must be positive")
+    _check_cutoff(cutoff)
     c = 16.0 * math.pi ** 2 / (9.0 * side ** 2)
-    q_max = cutoff / c
-    vals = []
-    m = 1
-    while m * m + m + 1 <= q_max:
-        # largest n with m^2 + m n + n^2 <= q_max
-        disc = q_max - 0.75 * m * m
-        n_max = int(math.floor(math.sqrt(disc) - 0.5 * m)) if disc > 0 else 0
-        while m * m + m * n_max + n_max * n_max > q_max:
-            n_max -= 1
-        if n_max >= 1:
-            n = np.arange(1, n_max + 1)
-            vals.append(c * (m * m + m * n + n * n))
-        m += 1
-    flat = np.concatenate(vals) if vals else np.array([])
+    # m^2 + m n + n^2 <= cutoff / c needs m, n < sqrt(cutoff / c)
+    k = int(math.sqrt(cutoff / c))
+    m, n = _pairs(k, k)
+    flat = c * (m * m + m * n + n * n)
     return _finish(flat, cutoff, "analytic", f"equilateral-triangle-{side}",
                    area=math.sqrt(3) / 4 * side ** 2, perimeter=3 * side)
 
@@ -374,77 +371,51 @@ def read_spectrum(path):
 # Conservative detection of reference families from a DomainSpec.
 
 
-def match_reference_family(domain):
-    """Map a DomainSpec onto an analytic family, or None.
+def spectrum_for_domain(domain, cutoff):
+    """The exact spectrum of a domain that is a rectangle, a disk, a
+    circular sector or an equilateral triangle, labelled by the domain;
+    None for any other domain (FEM).
 
-    Returns one of ("rectangle", (a, b)), ("disk", r), ("sector",
-    (theta, r)), ("equilateral", side).  Checks are exact up to 1e-12 on
-    segment data; anything ambiguous falls through to None (FEM).
+    Checks are exact up to 1e-12 on segment data, relative to the perimeter
+    where they compare lengths; anything ambiguous falls through to None.
     """
-    if len(domain.loops) != 1:
-        return None
     segs = domain.loops[0].segments
-    kinds = {s.kind for s in segs}
-    tol = 1e-12 * max(domain.diameter, 1.0)
+    lines = [s for s in segs if s.kind == "line"]
+    arcs = [s for s in segs if s.kind == "arc"]
+    if len(domain.loops) != 1 or len(lines) + len(arcs) < len(segs):
+        return None
+    tol = 1e-12 * max(domain.perimeter, 1.0)
     corners = domain.corners
+    spec = None
 
-    if kinds == {"line"}:
-        if len(segs) == 4 and len(corners) == 4:
-            lengths = [s.length for s in segs]
-            right = all(abs(c.theta - math.pi / 2) < 1e-12 for c in corners)
-            if right and abs(lengths[0] - lengths[2]) < tol \
-                    and abs(lengths[1] - lengths[3]) < tol:
-                return ("rectangle", (lengths[0], lengths[1]))
-        if len(segs) == 3 and len(corners) == 3:
-            lengths = [s.length for s in segs]
-            if max(lengths) - min(lengths) < tol:
-                return ("equilateral", lengths[0])
-        return None
-
-    if kinds == {"arc"}:
-        centers = np.array([s.center for s in segs])
-        radii = [s.radius for s in segs]
-        if np.ptp(centers, axis=0).max() < tol and max(radii) - min(radii) < tol \
-                and not corners:
-            return ("disk", radii[0])
-        return None
-
-    if kinds == {"line", "arc"}:
-        lines = [s for s in segs if s.kind == "line"]
-        arcs = [s for s in segs if s.kind == "arc"]
-        if len(lines) != 2:
-            return None
+    if not arcs:
+        lengths = [s.length for s in segs]
+        right = all(abs(c.theta - math.pi / 2) < 1e-12 for c in corners)
+        if len(segs) == 4 and len(corners) == 4 and right \
+                and abs(lengths[0] - lengths[2]) < tol \
+                and abs(lengths[1] - lengths[3]) < tol:
+            spec = rectangle_spectrum(lengths[0], lengths[1], cutoff)
+        elif len(segs) == 3 and len(corners) == 3 \
+                and max(lengths) - min(lengths) < tol:
+            spec = equilateral_triangle_spectrum(lengths[0], cutoff)
+    else:
+        # A disk or a sector: all arcs lie on one circle.
         centers = np.array([a.center for a in arcs])
         radii = [a.radius for a in arcs]
         if np.ptp(centers, axis=0).max() > tol or max(radii) - min(radii) > tol:
             return None
-        apex = centers[0]
-        r = radii[0]
-        for ln in lines:
-            ends = sorted([np.linalg.norm(ln.start - apex), np.linalg.norm(ln.end - apex)])
-            if abs(ends[0]) > tol or abs(ends[1] - r) > tol:
-                return None
-        sweep = sum(a.sweep for a in arcs)
-        if not 0 < sweep < 2 * math.pi:
-            return None
-        return ("sector", (sweep, r))
+        apex, r = centers[0], radii[0]
+        if not lines and not corners:
+            spec = disk_spectrum(r, cutoff)
+        elif len(lines) == 2:
+            for ln in lines:
+                ends = sorted([np.linalg.norm(ln.start - apex), np.linalg.norm(ln.end - apex)])
+                if abs(ends[0]) > tol or abs(ends[1] - r) > tol:
+                    return None
+            sweep = sum(a.sweep for a in arcs)
+            if 0 < sweep < 2 * math.pi:
+                spec = sector_spectrum(sweep, r, cutoff)
 
-    return None
-
-
-def spectrum_for_domain(domain, cutoff):
-    """Analytic spectrum for a recognized reference domain, else None."""
-    family = match_reference_family(domain)
-    if family is None:
-        return None
-    kind, params = family
-    if kind == "rectangle":
-        spec = rectangle_spectrum(params[0], params[1], cutoff)
-    elif kind == "disk":
-        spec = disk_spectrum(params, cutoff)
-    elif kind == "sector":
-        spec = sector_spectrum(params[0], params[1], cutoff)
-    else:
-        spec = equilateral_triangle_spectrum(params, cutoff)
-    spec.domain_label = domain.label or spec.domain_label
+    if spec is not None:
+        spec.domain_label = domain.label or spec.domain_label
     return spec

@@ -158,6 +158,7 @@ def build_corpus(seed=0, fem=True):
     from .heat_trace import theoretical_coefficients
 
     checks = []
+    refs = {ref.label: ref for ref in REFERENCE_DOMAINS}
     spectra_by_label = {}
     verdicts_by_label = {}
 
@@ -217,7 +218,7 @@ def build_corpus(seed=0, fem=True):
     checks.append(("theorem/random-polygon-a0", random_polygon_bound))
 
     def monotonicity():
-        inner = spectra.rectangle_spectrum(1.0, 1.0, 2.0e4)
+        inner = reference_spectrum(refs["square"])
         outer = spectra.rectangle_spectrum(1.2, 1.1, 2.0e4)
         k = 200
         bad = int(np.sum(outer.eigenvalues[:k] > inner.eigenvalues[:k]))
@@ -227,10 +228,10 @@ def build_corpus(seed=0, fem=True):
     checks.append(("spectra/domain-monotonicity", monotonicity))
 
     def weyl_tail():
-        sq = spectra.rectangle_spectrum(1.0, 1.0, 2.0e5)
+        sq = reference_spectrum(refs["square"])
         r = spectra.weyl_ratio(sq, 1.0)
         _assert(abs(r[10**4 - 1] - 1) < 0.02, f"square ratio {r[10**4-1]:.4f}")
-        dk = spectra.disk_spectrum(1.0, 4.6e3)
+        dk = reference_spectrum(refs["disk"])
         rd = spectra.weyl_ratio(dk, PI)
         _assert(abs(rd[10**3 - 1] - 1) < 0.05, f"disk ratio {rd[10**3-1]:.4f}")
         return "counting ratios approach 1"
@@ -273,7 +274,7 @@ def build_corpus(seed=0, fem=True):
 
     if fem:
         def lshape_assisted():
-            ref = next(r for r in REFERENCE_DOMAINS if r.label == "lshape")
+            ref = refs["lshape"]
             # The assisted fit reuses the trace of the L-shape's verdict.
             dom = ref.build()
             fit = fit_expansion(reference_verdict(ref).samples,

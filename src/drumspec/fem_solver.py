@@ -172,8 +172,8 @@ def mesh_domain(domain, h):
     and when no n down to 1 gives a mesh whose every angle reaches
     MIN_ANGLE_DEG.
     """
-    if h <= 0:
-        raise MeshError("target size h must be positive")
+    if not h > 0:
+        raise MeshError(f"target size h must be positive, got {h!r}")
     width = _width(domain)
     if h > width / 4.0:
         raise MeshError(f"h={h:g} too coarse for a domain of width {width:g}")
@@ -193,9 +193,8 @@ def mesh_domain(domain, h):
 
 def _width(domain):
     """The largest distance between two points of the outer loop's polyline
-    (segment ends, and 64 chords per arc or curve).  Unlike
-    ``domain.diameter``, the diagonal of the bounding box, it does not
-    change when the domain turns."""
+    (segment ends, and 64 chords per arc or curve).  Unlike the diagonal
+    of the bounding box, it does not change when the domain turns."""
     from scipy.spatial import ConvexHull
     pts = domain._polylines[0]
     hull = pts[ConvexHull(pts).vertices]
@@ -609,10 +608,11 @@ def _factor_shifted(K, M, sigma):
 
 def _solve_slice(K, M, lo, hi, modes, v0):
     """The eigenvectors of the ``modes`` eigenvalues that the inertia counts
-    place in [lo, hi), by shift-invert Lanczos about the slice midpoint."""
+    place in [lo, hi), by shift-invert Lanczos about the slice midpoint, and
+    the number of eigenvalues below that midpoint."""
     from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
     mid = 0.5 * (lo + hi)
-    lu, _ = _factor_shifted(K, M, mid)
+    lu, below_mid = _factor_shifted(K, M, mid)
     op_inv = LinearOperator(K.shape, matvec=lu.solve, dtype=float)
     try:
         vals, vecs = eigsh(K, k=min(modes + SLICE_EXTRA, K.shape[0] - 1), M=M,
@@ -624,7 +624,7 @@ def _solve_slice(K, M, lo, hi, modes, v0):
         raise EigensolveError(
             f"slice [{lo:g}, {hi:g}) holds {modes} eigenvalues by inertia, "
             f"but the eigensolver found {len(inside)}")
-    return vecs[:, inside]
+    return vecs[:, inside], below_mid
 
 
 def _finish_slice(K, M, dinv, lo, hi, below_lo, below_hi, count, v0,
@@ -638,7 +638,7 @@ def _finish_slice(K, M, dinv, lo, hi, below_lo, below_hi, count, v0,
     take = min(below_hi, count) - below_lo
     if take <= 0:
         return []
-    x = _solve_slice(K, M, lo, hi, below_hi - below_lo, v0)
+    x, below_mid = _solve_slice(K, M, lo, hi, below_hi - below_lo, v0)
     # ARPACK residuals in the original pencil grow like lambda * eps
     # after shift-invert; a Rayleigh-Ritz step on the slice's own
     # vectors restores them to projection level.
@@ -660,7 +660,6 @@ def _finish_slice(K, M, dinv, lo, hi, below_lo, below_hi, count, v0,
             f"eigensolver residual {rel_x.max():.3g} exceeds "
             f"{RESIDUAL_TOL:g} after {count} modes")
     mid = 0.5 * (lo + hi)
-    below_mid = _factor_shifted(K, M, mid)[1]
     return (_finish_slice(K, M, dinv, lo, mid, below_lo, below_mid, count,
                           v0, False)
             + _finish_slice(K, M, dinv, mid, hi, below_mid, below_hi, count,

@@ -419,9 +419,9 @@ class DomainSpec:
     Its invariants are computed once, on construction, and read as plain
     attributes: ``corners`` (see ``detect_corners``), ``chi`` (1 minus the
     number of holes), ``area`` (the sum of the signed loop areas),
-    ``perimeter``, ``curvature_integral`` (of the geodesic curvature over
-    the smooth part of the boundary) and ``diameter`` (of the outer loop's
-    bounding box).  The object is treated as immutable afterwards.
+    ``perimeter`` and ``curvature_integral`` (of the geodesic curvature
+    over the smooth part of the boundary).  The object is treated as
+    immutable afterwards.
     """
 
     def __init__(self, loops, label=""):
@@ -461,7 +461,6 @@ class DomainSpec:
                              for lp in self.loops)
         self.curvature_integral = sum(
             sum(s.turning_integral for s in lp.segments) for lp in self.loops)
-        self.diameter = float(np.linalg.norm(np.ptp(polys[0], axis=0)))
         self._polylines = polys
 
 

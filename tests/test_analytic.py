@@ -15,7 +15,6 @@ from drumspec.analytic_spectra import (
     bessel_j_zeros,
     disk_spectrum,
     equilateral_triangle_spectrum,
-    match_reference_family,
     read_spectrum,
     rectangle_spectrum,
     sector_spectrum,
@@ -25,9 +24,13 @@ from drumspec.analytic_spectra import (
 )
 from drumspec.errors import EmptySpectrumError, NumericError
 from drumspec.geometry import (
+    ArcSegment,
+    DomainSpec,
+    LineSegment,
     make_disk,
     make_equilateral_triangle,
     make_lshape,
+    make_polygon,
     make_rectangle,
     make_sector,
     make_square,
@@ -331,6 +334,83 @@ class TestEquilateralTriangle:
         assert abs(len(spec) - expect) / expect < 0.02
 
 
+def rectangle_loop(a, b, cutoff):
+    """Reference enumeration: for each m, the n up to the largest one that
+    keeps lambda at or below the cutoff."""
+    pi2 = math.pi ** 2
+    m_max = int(math.floor(a * math.sqrt(cutoff) / math.pi))
+    vals = []
+    for m in range(1, m_max + 1):
+        rem = cutoff - pi2 * m * m / (a * a)
+        if rem < pi2 / (b * b):
+            continue
+        n_max = int(math.floor(b * math.sqrt(rem) / math.pi))
+        lam_m = pi2 * m * m / (a * a) + pi2 * np.arange(1, n_max + 1) ** 2 / (b * b)
+        vals.append(lam_m)
+    flat = np.sort(np.concatenate(vals) if vals else np.array([]))
+    return flat[flat <= cutoff]
+
+
+def equilateral_loop(side, cutoff):
+    """Reference enumeration: for each m, the n up to the largest one with
+    m^2 + m n + n^2 <= cutoff / c."""
+    c = 16.0 * math.pi ** 2 / (9.0 * side ** 2)
+    q_max = cutoff / c
+    vals = []
+    m = 1
+    while m * m + m + 1 <= q_max:
+        disc = q_max - 0.75 * m * m
+        n_max = int(math.floor(math.sqrt(disc) - 0.5 * m)) if disc > 0 else 0
+        while m * m + m * n_max + n_max * n_max > q_max:
+            n_max -= 1
+        if n_max >= 1:
+            n = np.arange(1, n_max + 1)
+            vals.append(c * (m * m + m * n + n * n))
+        m += 1
+    flat = np.sort(np.concatenate(vals) if vals else np.array([]))
+    return flat[flat <= cutoff]
+
+
+LATTICE_SIDES = [0.37, 0.8, 1.0, 1.3, 3.1]
+LATTICE_CUTOFFS = [400.0, 2.0e3, 2.0e4, 1.3e5]
+
+
+class TestLatticeFamilies:
+    """The lattice families equal the loops they replaced, bit for bit."""
+
+    @pytest.mark.parametrize("a", LATTICE_SIDES)
+    def test_rectangle_equals_loop(self, a):
+        for b in LATTICE_SIDES:
+            lam1 = PI ** 2 * (1 / a ** 2 + 1 / b ** 2)
+            for cutoff in LATTICE_CUTOFFS + [lam1 * (1 + 1e-15), lam1 * 1.001]:
+                if cutoff < lam1:
+                    continue
+                assert np.array_equal(rectangle_spectrum(a, b, cutoff).eigenvalues,
+                                      rectangle_loop(a, b, cutoff)), (a, b, cutoff)
+
+    @pytest.mark.parametrize("side", LATTICE_SIDES)
+    def test_equilateral_equals_loop(self, side):
+        lam1 = 16 * PI ** 2 / (3 * side ** 2)
+        for cutoff in LATTICE_CUTOFFS + [lam1 * (1 + 1e-15), lam1 * 1.001, 3.0e5]:
+            if cutoff < lam1:
+                continue
+            assert np.array_equal(
+                equilateral_triangle_spectrum(side, cutoff).eigenvalues,
+                equilateral_loop(side, cutoff)), (side, cutoff)
+
+
+@pytest.mark.parametrize("cutoff", [math.inf, math.nan, 0.0, -5.0])
+@pytest.mark.parametrize("family", [
+    lambda c: rectangle_spectrum(1.0, 1.0, c),
+    lambda c: disk_spectrum(1.0, c),
+    lambda c: sector_spectrum(PI / 2, 1.0, c),
+    lambda c: equilateral_triangle_spectrum(1.0, c),
+], ids=["rectangle", "disk", "sector", "equilateral"])
+def test_cutoff_must_be_finite_and_positive(family, cutoff):
+    with pytest.raises(ValueError, match="cutoff must be finite and positive"):
+        family(cutoff)
+
+
 class TestWeylRatio:
     def test_unit_square_at_ten_thousand(self):
         spec = rectangle_spectrum(1.0, 1.0, 2.0e5)
@@ -454,39 +534,85 @@ class TestSpectrumFiles:
 
 class TestReferenceFamilyDetection:
     def test_square(self):
-        fam, params = match_reference_family(make_square())
-        assert fam == "rectangle"
-        assert_allclose(sorted(params), [1.0, 1.0])
+        spec = spectrum_for_domain(make_square(), 100.0)
+        assert np.array_equal(spec.eigenvalues,
+                              rectangle_spectrum(1.0, 1.0, 100.0).eigenvalues)
 
     def test_rotated_rectangle_still_matches(self, moved):
         ang = 0.3
         rot = np.array([[math.cos(ang), -math.sin(ang)],
                         [math.sin(ang), math.cos(ang)]])
-        fam, params = match_reference_family(
-            moved(make_rectangle(2.0, 1.0), rot, (0.5, 0.5)))
-        assert fam == "rectangle"
-        assert_allclose(sorted(params), [1.0, 2.0], rtol=1e-12)
+        spec = spectrum_for_domain(
+            moved(make_rectangle(2.0, 1.0), rot, (0.5, 0.5)), 200.0)
+        assert_allclose(spec.eigenvalues,
+                        rectangle_spectrum(2.0, 1.0, 200.0).eigenvalues,
+                        rtol=1e-12)
 
     def test_disk(self):
-        fam, radius = match_reference_family(make_disk(1.5))
-        assert fam == "disk"
-        assert_allclose(radius, 1.5)
+        spec = spectrum_for_domain(make_disk(1.5), 50.0)
+        assert np.array_equal(spec.eigenvalues,
+                              disk_spectrum(1.5, 50.0).eigenvalues)
 
     def test_sector(self):
-        fam, (theta, radius) = match_reference_family(make_sector(PI / 2))
-        assert fam == "sector"
-        assert_allclose(theta, PI / 2, rtol=1e-12)
-        assert_allclose(radius, 1.0)
+        spec = spectrum_for_domain(make_sector(PI / 2), 200.0)
+        assert_allclose(spec.eigenvalues,
+                        sector_spectrum(PI / 2, 1.0, 200.0).eigenvalues,
+                        rtol=1e-12)
 
     def test_equilateral(self):
-        fam, side = match_reference_family(make_equilateral_triangle(2.0))
-        assert fam == "equilateral"
-        assert_allclose(side, 2.0)
+        spec = spectrum_for_domain(make_equilateral_triangle(2.0), 200.0)
+        assert_allclose(spec.eigenvalues,
+                        equilateral_triangle_spectrum(2.0, 200.0).eigenvalues,
+                        rtol=1e-12)
 
     def test_lshape_falls_through(self):
-        assert match_reference_family(make_lshape()) is None
+        assert spectrum_for_domain(make_lshape(), 100.0) is None
 
     def test_spectrum_for_domain(self):
         spec = spectrum_for_domain(make_square(), 100.0)
         assert_allclose(spec.eigenvalues[0], 2 * PI ** 2)
-        assert spectrum_for_domain(make_lshape(), 100.0) is None
+        assert spec.domain_label == "square-1.0"
+        unlabelled = DomainSpec(make_disk(1.5).loops)
+        assert spectrum_for_domain(unlabelled, 50.0).domain_label == "disk-1.5"
+
+    # Dilated by ``scale``, then turned and shifted as the benchmark's seeds
+    # move the exact families: each pair is the built domain and the exact
+    # spectrum at cutoff 2e3 / scale^2.
+    @pytest.mark.parametrize("build, exact", [
+        (lambda s: make_rectangle(2.0 * s, s),
+         lambda s, c: rectangle_spectrum(2.0 * s, s, c)),
+        (lambda s: make_disk(s), lambda s, c: disk_spectrum(s, c)),
+        (lambda s: make_sector(2 * PI / 3, s),
+         lambda s, c: sector_spectrum(2 * PI / 3, s, c)),
+        (lambda s: make_equilateral_triangle(s),
+         lambda s, c: equilateral_triangle_spectrum(s, c)),
+    ], ids=["rectangle", "disk", "sector", "equilateral"])
+    @pytest.mark.parametrize("motion", range(3))
+    def test_moved_and_dilated_family_matches(self, moved, build, exact, motion):
+        rng = np.random.default_rng(motion)
+        angle = rng.uniform(0.0, 2 * PI)
+        shift = rng.uniform(-2.0, 2.0, size=2)
+        scale = float(2.0 ** rng.uniform(-1.0, 1.0))
+        rot = np.array([[math.cos(angle), -math.sin(angle)],
+                        [math.sin(angle), math.cos(angle)]])
+        cutoff = 2.0e3 / scale ** 2
+        spec = spectrum_for_domain(moved(build(scale), rot, shift), cutoff)
+        assert spec is not None
+        assert_allclose(spec.eigenvalues, exact(scale, cutoff).eigenvalues,
+                        rtol=1e-12)
+
+    def test_near_misses_fall_through(self):
+        r, c = 1.0, math.sqrt(0.5)
+        # one side of a unit square 1e-9 longer than its opposite side
+        trapezoid = make_polygon([(0, 0), (1 + 1e-9, 0), (1, 1), (0, 1)])
+        # one quarter arc of the unit circle about a centre 1e-9 away
+        off = 1e-9 * np.array([c, -c])
+        arcs = [ArcSegment(seg.start, seg.end, seg.center + (off if i == 0 else 0), r)
+                for i, seg in enumerate(make_disk(r).loops[0].segments)]
+        # a quarter disk whose two sides meet 1e-9 away from the arc centre
+        quarter = make_sector(PI / 2).loops[0].segments
+        apex = np.array([1e-9, 0.0])
+        sector = [LineSegment(apex, quarter[0].end), quarter[1],
+                  LineSegment(quarter[2].start, apex)]
+        for domain in (trapezoid, DomainSpec([arcs]), DomainSpec([sector])):
+            assert spectrum_for_domain(domain, 100.0) is None

@@ -243,6 +243,11 @@ class TestMeshing:
         with pytest.raises(MeshError):
             mesh_domain(make_square(), 0.8)
 
+    @pytest.mark.parametrize("h", [math.nan, 0.0, -0.1, math.inf])
+    def test_h_not_finite_and_positive_rejected(self, h):
+        with pytest.raises(MeshError, match="must be positive|too coarse"):
+            mesh_domain(make_lshape(), h)
+
     def test_tiny_feature_rejected(self):
         dom = make_rectangle(1.0, 0.01)
         with pytest.raises(MeshError, match="loop|short|coarse"):
@@ -391,7 +396,8 @@ class TestTwoLevelMesh:
     def test_coarse_size_does_not_turn_with_the_domain(self, moved):
         # the bounding box of a turned L-shape is wider than sqrt(2)
         turned = moved(make_lshape(), *rigid_motion(5))
-        assert turned.diameter > 1.5
+        corners = np.array([seg.start for seg in turned.loops[0].segments])
+        assert np.linalg.norm(np.ptp(corners, axis=0)) > 1.5
         assert mesh_domain(turned, 0.02).meta["subdivisions"] == 8
 
     def test_vertices_numbered_row_major(self, lshape_mesh):
@@ -763,11 +769,11 @@ class TestSpectrumSlicing:
         calls = []
 
         def spoiling(K, M, lo, hi, modes, v0):
-            x = original(K, M, lo, hi, modes, v0)
+            x, below_mid = original(K, M, lo, hi, modes, v0)
             calls.append((lo, hi))
             if len(calls) in calls_spoiled:
                 x = x + 1e-3 * np.random.default_rng(1).standard_normal(x.shape)
-            return x
+            return x, below_mid
 
         monkeypatch.setattr(fem_solver, "_solve_slice", spoiling)
         return calls
@@ -776,6 +782,14 @@ class TestSpectrumSlicing:
                                          trust_all_modes, monkeypatch):
         dense = dense_eigenvalues(small_lshape_ops)
         calls = self.spoil(monkeypatch, {1})
+        factor = fem_solver._factor_shifted
+        shifts = []
+
+        def counting(K, M, sigma):
+            shifts.append(sigma)
+            return factor(K, M, sigma)
+
+        monkeypatch.setattr(fem_solver, "_factor_shifted", counting)
         count = SLICE_MODES + 20
         spec = solve_lowest(small_lshape_ops, count)
         assert_allclose(spec.eigenvalues, dense[:count], rtol=1e-10, atol=0)
@@ -783,6 +797,10 @@ class TestSpectrumSlicing:
         lo, hi = calls[0]
         mid = 0.5 * (lo + hi)
         assert calls[1:3] == [(lo, mid), (mid, hi)]
+        # Each slice's top and midpoint, and the two halves' midpoints: the
+        # split reads the count below ``mid`` from the slice's own solve.
+        assert len(shifts) == 2 * spec.meta["slices"] + 2
+        assert shifts.count(mid) == 1
 
     def test_failing_half_is_an_error(self, small_lshape_ops, monkeypatch):
         self.spoil(monkeypatch, {1, 2})
@@ -818,9 +836,9 @@ def slice_vectors(monkeypatch):
     original = fem_solver._solve_slice
 
     def recording(*args):
-        x = original(*args)
+        x, below_mid = original(*args)
         recorded.append(x.copy())
-        return x
+        return x, below_mid
 
     monkeypatch.setattr(fem_solver, "_solve_slice", recording)
     return recorded

@@ -85,7 +85,7 @@ class TestInvariantsComputedOnce:
 
     def test_consumers_do_not_detect_corners_again(self, monkeypatch):
         from drumspec import geometry
-        from drumspec.analytic_spectra import match_reference_family
+        from drumspec.analytic_spectra import spectrum_for_domain
         from drumspec.fem_solver import mesh_domain
         from drumspec.heat_trace import theoretical_coefficients
 
@@ -100,7 +100,7 @@ class TestInvariantsComputedOnce:
         monkeypatch.setattr(geometry, "_adaptive_gauss", refuse)
         for dom in domains:
             theoretical_coefficients(dom)
-            match_reference_family(dom)
+            spectrum_for_domain(dom, 100.0)
             assert gauss_bonnet_check(dom) <= 1e-8
         mesh_domain(domains[0], 0.1)
         mesh_domain(domains[4], 0.1)
