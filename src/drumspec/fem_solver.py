@@ -59,14 +59,16 @@ Assembly uses the exact per-triangle linear-element formulas; the Dirichlet
 condition is imposed by eliminating boundary rows and columns.  The lowest
 modes of the generalized pencil (K, M) come from spectrum slicing (Ericsson
 & Ruhe 1980; Grimes, Lewis & Simon 1994): the eigenvalue axis is cut into
-slices of a few dozen modes, each solved by ARPACK in shift-invert mode
-about its midpoint, and the inertia of K - sigma M at every slice boundary
-counts the eigenvalues below it exactly (Sylvester's law of inertia).  Each
-slice must yield exactly its counted modes, so the spectrum is proven
-complete below the last shift.  Each slice is finished as soon as it is
-solved, by a Rayleigh-Ritz step on its own vectors and a residual check, so
-no basis wider than one slice is kept; a slice that fails the check is
-split once at its midpoint, and each half is solved and checked again.
+slices of a few dozen modes, and the inertia of K - sigma M at every slice
+boundary counts the eigenvalues below it exactly (Sylvester's law of
+inertia), so the spectrum is proven complete below the last shift.  Given
+that count, Lanczos on (K - mid M)^-1 M about the slice midpoint, in the M
+inner product, needs no restart: it stops at the first step where exactly
+that many Ritz values in the slice have residuals below RESIDUAL_TOL / 100,
+and its basis, near twice the count, is small enough to reorthogonalise
+fully at every step (two classical Gram-Schmidt passes).  A Rayleigh-Ritz
+step on the slice's vectors and a residual check finish it, so no basis
+wider than one slice is kept; a slice that fails the check is split once.
 That step is the module-level ``_finish_slice``, not a closure in
 solve_lowest: a closure that calls itself is a reference cycle, which kept
 the last slice's vectors alive after the solve until a full collection.
@@ -109,7 +111,6 @@ POLLUTION_KMIN = 30
 RESIDUAL_TOL = 1e-8
 SLICE_MODES = 75   # modes per spectrum slice
 SLICE_PAD = 0.05   # slice boundaries sit at Weyl estimates for 5% more modes
-SLICE_EXTRA = 2    # Lanczos asks for this many modes beyond a slice's count
 
 
 @dataclass
@@ -606,29 +607,48 @@ def _factor_shifted(K, M, sigma):
     return lu, int(np.count_nonzero(lu.U.diagonal() < 0))
 
 
-def _solve_slice(K, M, lo, hi, modes, v0):
-    """The eigenvectors of the ``modes`` eigenvalues that the inertia counts
-    place in [lo, hi), by shift-invert Lanczos about the slice midpoint, and
-    the number of eigenvalues below that midpoint."""
-    from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
+def _solve_slice(K, M, lo, hi, modes, v0, solves):
+    """The ``modes`` Ritz vectors in [lo, hi) and the count below the slice
+    midpoint, by Lanczos about it; appends its LU solves to ``solves``."""
+    from scipy.linalg import eigh_tridiagonal
     mid = 0.5 * (lo + hi)
     lu, below_mid = _factor_shifted(K, M, mid)
-    op_inv = LinearOperator(K.shape, matvec=lu.solve, dtype=float)
-    try:
-        vals, vecs = eigsh(K, k=min(modes + SLICE_EXTRA, K.shape[0] - 1), M=M,
-                           sigma=mid, v0=v0, OPinv=op_inv, maxiter=2000)
-    except ArpackError as exc:
-        raise EigensolveError(f"eigensolver failed: {exc}") from exc
-    inside = np.nonzero((vals >= lo) & (vals < hi))[0]
-    if len(inside) != modes:
-        raise EigensolveError(
-            f"slice [{lo:g}, {hi:g}) holds {modes} eigenvalues by inertia, "
-            f"but the eigensolver found {len(inside)}")
-    return vecs[:, inside], below_mid
+    cap = min(K.shape[0], 4 * modes + 40)
+    q, alpha, beta = np.empty((cap + 1, K.shape[0])), np.zeros(cap), np.empty(cap)
+    w = lu.solve(M @ v0)  # start in the range of A = (K - mid M)^-1 M
+    b = math.sqrt(w @ (mw := M @ w))
+    for j in range(cap):
+        q[j] = w / b
+        w = lu.solve(mw / b)
+        for _ in range(2):  # classical Gram-Schmidt, twice
+            w -= (c := q[:j + 1] @ (M @ w)) @ q[:j + 1]
+            alpha[j] += c[j]
+        b = beta[j] = math.sqrt(w @ (mw := M @ w))
+        if j + 1 < modes and b > 1e-12 * np.max(beta[:j + 1]):
+            continue  # fewer steps than modes: the slice cannot stop yet
+        nu, s = eigh_tridiagonal(alpha[:j + 1], beta[:j])
+        lam = mid + 1.0 / nu
+        inside = (lam >= lo) & (lam < hi)
+        # z = A y / nu, y = Q s, has K z - lam M z = -(s_j / nu^2) M w; |w|_M = b.
+        done = inside & (abs(b * s[-1]) <= RESIDUAL_TOL / 100 * nu ** 2 * lam.clip(1))
+        if np.count_nonzero(done) == modes:
+            solves.append(j + 2)
+            # Built in the basis's own rows, the z need no second array that size.
+            q[j + 1], c = w, np.vstack([s, s[-1] / nu])[:, done].T
+            for a in range(0, q.shape[1], 1024):
+                q[:modes, a:a + 1024] = c @ q[:j + 2, a:a + 1024]
+            return q[:modes].T, below_mid
+        # By interlacing, a true count bounds the Ritz values in the slice.
+        if np.count_nonzero(inside) > modes or not b > 1e-12 * np.max(np.abs(nu)):
+            break
+    raise EigensolveError(
+        f"slice [{lo:g}, {hi:g}) holds {modes} eigenvalues by inertia, but "
+        f"{np.count_nonzero(inside)} Ritz values lie in it and {np.count_nonzero(done)} "
+        f"have converged after {j + 1} of at most {cap} Lanczos steps, beta {b:.2g}")
 
 
 def _finish_slice(K, M, dinv, lo, hi, below_lo, below_hi, count, v0,
-                  may_split):
+                  may_split, solves):
     """Solve slice [lo, hi), which holds modes below_lo to below_hi - 1 by
     inertia, and gate the residuals of those below ``count``.  Returns the
     finished pieces in eigenvalue order as (first mode, theta, relative
@@ -638,10 +658,7 @@ def _finish_slice(K, M, dinv, lo, hi, below_lo, below_hi, count, v0,
     take = min(below_hi, count) - below_lo
     if take <= 0:
         return []
-    x, below_mid = _solve_slice(K, M, lo, hi, below_hi - below_lo, v0)
-    # ARPACK residuals in the original pencil grow like lambda * eps
-    # after shift-invert; a Rayleigh-Ritz step on the slice's own
-    # vectors restores them to projection level.
+    x, below_mid = _solve_slice(K, M, lo, hi, below_hi - below_lo, v0, solves)
     theta, s = dense_eigh(x.T @ (K @ x), x.T @ (M @ x))
     x, theta = x @ s[:, :take], theta[:take]
     mx = M @ x
@@ -661,9 +678,9 @@ def _finish_slice(K, M, dinv, lo, hi, below_lo, below_hi, count, v0,
             f"{RESIDUAL_TOL:g} after {count} modes")
     mid = 0.5 * (lo + hi)
     return (_finish_slice(K, M, dinv, lo, mid, below_lo, below_mid, count,
-                          v0, False)
+                          v0, False, solves)
             + _finish_slice(K, M, dinv, mid, hi, below_mid, below_hi, count,
-                            v0, False))
+                            v0, False, solves))
 
 
 def solve_lowest(ops, count, seed=0):
@@ -673,14 +690,13 @@ def solve_lowest(ops, count, seed=0):
     Spectrum slicing: the axis from zero (K is positive definite after
     elimination) is cut into slices [lo, hi) of about SLICE_MODES modes,
     with boundaries at padded two-term Weyl estimates.  The inertia of
-    K - hi M counts the eigenvalues below each boundary exactly, and each
-    slice is solved by shift-invert Lanczos about its midpoint; a slice
-    whose mode count differs from its inertia difference is an error.  If
-    the last boundary still counts fewer than ``count`` modes, further
-    slices are sized from the mode density counted below it.  So no
-    eigenvalue below the last shift is missing: the meta records the number
-    of ``slices``, the last shift ``inertia_shift`` and the
-    ``inertia_count`` below it.
+    K - hi M counts the eigenvalues below each boundary exactly, and
+    Lanczos solves each slice until exactly that many Ritz values in it
+    converge.  If the last boundary still counts fewer than ``count``
+    modes, further slices are sized from the mode density counted below
+    it.  So no eigenvalue below the last shift is missing: the meta
+    records ``slices``, their LU solves ``shift_solves``, the last shift
+    ``inertia_shift`` and the ``inertia_count`` below it.
 
     Each slice is finished where it is solved (``_finish_slice``): a
     Rayleigh-Ritz step on the slice alone, then per-mode residuals
@@ -688,15 +704,14 @@ def solve_lowest(ops, count, seed=0):
     slice's vectors are held, for the adjacent-slice orthogonality check,
     and nothing the solve allocates outlives it.  ``max_residual`` is the
     largest certified bound sqrt(2) |r|_{diag(M)^-1} / (max(lambda, 1)
-    |x|_M) on the lambda-relative residual in the M^-1 norm; it holds
-    because diag(M)^-1 M has its eigenvalues in [1/2, 2] for P1 triangles
-    (Wathen, IMA J. Numer. Anal. 7, 1987), and it must not exceed
-    RESIDUAL_TOL.  A slice that exceeds it is split once at its midpoint,
-    and a half that still exceeds it raises.  ``ortho_deviation`` is the
-    largest deviation of the M-Gram matrix from the identity over pairs of
-    modes within one slice or in adjacent slices.  The returned Spectrum is
-    truncated and its cutoff set by the Weyl pollution rule, so downstream
-    heat-trace tails only see trusted modes.
+    |x|_M) on the lambda-relative residual in the M^-1 norm (Wathen, see
+    the module docstring), and it must not exceed RESIDUAL_TOL.  A slice
+    that exceeds it is split once at its midpoint, and a half that still
+    exceeds it raises.  ``ortho_deviation`` is the largest deviation of the
+    M-Gram matrix from the identity over pairs of modes within one slice
+    or in adjacent slices.  The returned Spectrum is truncated and its
+    cutoff set by the Weyl pollution rule, so downstream heat-trace tails
+    only see trusted modes.
     """
     K, M = ops.stiffness, ops.mass
     mesh = ops.mesh
@@ -711,7 +726,7 @@ def solve_lowest(ops, count, seed=0):
     dinv = 1.0 / M.diagonal()
     vals = np.empty(count)
     rel = np.empty(count)
-    ortho_dev, prev = 0.0, None
+    ortho_dev, prev, solves = 0.0, None, []
 
     lo, below_lo, slices = 0.0, 0, 0
     while below_lo < count:
@@ -729,7 +744,7 @@ def solve_lowest(ops, count, seed=0):
         below_hi = _factor_shifted(K, M, hi)[1]
         for start, theta, rel_x, x, mx in _finish_slice(
                 K, M, dinv, lo, hi, below_lo, below_hi, count,
-                rng.standard_normal(n), True):
+                rng.standard_normal(n), True, solves):
             take = len(theta)
             vals[start:start + take] = theta
             rel[start:start + take] = rel_x
@@ -768,7 +783,7 @@ def solve_lowest(ops, count, seed=0):
         meta={"h": mesh.h, "chord_error": mesh.chord_error,
               "computed_modes": count, "trusted_modes": n_ok,
               "slices": slices, "inertia_shift": lo, "inertia_count": below_lo,
-              "max_residual": float(rel.max()),
+              "max_residual": float(rel.max()), "shift_solves": sum(solves),
               "ortho_deviation": float(ortho_dev),
               "drift_rate": drift_c,
               "t_min_bias": t_min_bias})

@@ -1,10 +1,10 @@
 import gc
 import math
+import re
 
 import numpy as np
 import pytest
 import scipy.linalg
-import scipy.sparse.linalg
 import scipy.spatial
 from numpy.testing import assert_allclose
 from scipy.sparse.linalg import splu
@@ -750,15 +750,18 @@ class TestSpectrumSlicing:
 
     def test_slice_missing_a_mode_is_an_error(self, small_lshape_ops,
                                               monkeypatch):
-        original = scipy.sparse.linalg.eigsh
+        # Inertia counts that miss half the modes: more Ritz values lie in
+        # the first slice than it holds by inertia, which Cauchy interlacing
+        # rules out for a correct count.
+        factor = fem_solver._factor_shifted
 
-        def drop_nearest(*args, sigma, **kwargs):
-            vals, vecs = original(*args, sigma=sigma, **kwargs)
-            keep = np.arange(len(vals)) != np.argmin(np.abs(vals - sigma))
-            return vals[keep], vecs[:, keep]
+        def undercounting(K, M, sigma):
+            lu, below = factor(K, M, sigma)
+            return lu, below // 2
 
-        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", drop_nearest)
-        with pytest.raises(EigensolveError, match="by inertia"):
+        monkeypatch.setattr(fem_solver, "_factor_shifted", undercounting)
+        with pytest.raises(EigensolveError,
+                           match="by inertia, but .* Ritz values lie in it"):
             solve_lowest(small_lshape_ops, 20)
 
     @staticmethod
@@ -768,8 +771,8 @@ class TestSpectrumSlicing:
         original = fem_solver._solve_slice
         calls = []
 
-        def spoiling(K, M, lo, hi, modes, v0):
-            x, below_mid = original(K, M, lo, hi, modes, v0)
+        def spoiling(K, M, lo, hi, modes, v0, solves):
+            x, below_mid = original(K, M, lo, hi, modes, v0, solves)
             calls.append((lo, hi))
             if len(calls) in calls_spoiled:
                 x = x + 1e-3 * np.random.default_rng(1).standard_normal(x.shape)
@@ -807,26 +810,57 @@ class TestSpectrumSlicing:
         with pytest.raises(EigensolveError, match="residual .* exceeds 1e-08"):
             solve_lowest(small_lshape_ops, 20)
 
-    def test_arpack_failure_is_an_eigensolve_error(self, small_lshape_ops,
-                                                   monkeypatch):
-        def no_convergence(*args, **kwargs):
-            raise scipy.sparse.linalg.ArpackNoConvergence(
-                "ARPACK error -1: No convergence", np.empty(0), np.empty((0, 0)))
-
-        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
-        with pytest.raises(EigensolveError, match="eigensolver failed"):
+    def test_lanczos_basis_cap_is_an_eigensolve_error(self, small_lshape_ops,
+                                                      monkeypatch):
+        # No Ritz pair meets a negative residual bound, so the Lanczos run
+        # stops at its basis cap of 4 modes + 40 steps, short of the dofs.
+        monkeypatch.setattr(fem_solver, "RESIDUAL_TOL", -1.0)
+        with pytest.raises(EigensolveError) as info:
             solve_lowest(small_lshape_ops, 20)
+        modes, steps = map(int, re.search(
+            r"holds (\d+) eigenvalues .* 0 have converged after (\d+) of at most "
+            r"\d+ Lanczos steps", str(info.value)).groups())
+        assert steps == 4 * modes + 40 < small_lshape_ops.stiffness.shape[0]
 
     def test_programming_error_propagates(self, small_lshape_ops, monkeypatch):
-        error = TypeError("eigsh() got an unexpected keyword argument")
+        error = TypeError("solve() got an unexpected keyword argument")
+        factor = fem_solver._factor_shifted
 
-        def broken(*args, **kwargs):
-            raise error
+        class BrokenLU:
+            def solve(self, rhs):
+                raise error
 
-        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", broken)
+        monkeypatch.setattr(fem_solver, "_factor_shifted", lambda K, M, sigma:
+                            (BrokenLU(), factor(K, M, sigma)[1]))
         with pytest.raises(TypeError) as info:
             solve_lowest(small_lshape_ops, 20)
         assert info.value is error
+
+    def test_exhausted_krylov_space(self, trust_all_modes, monkeypatch):
+        """On 25 dofs the first slice's Lanczos run spans the whole space,
+        and its next Lanczos vector is rounding noise."""
+        ops = assemble(mesh_domain(make_square(), 0.2))
+        n = ops.stiffness.shape[0]
+        assert n < 50
+        original = fem_solver._solve_slice
+        solves = []
+
+        def recording(*args):
+            result = original(*args)
+            solves.append(args[-1][-1])
+            return result
+
+        monkeypatch.setattr(fem_solver, "_solve_slice", recording)
+        with np.errstate(divide="raise", invalid="raise"):
+            try:
+                spec = solve_lowest(ops, n - 1)
+            except EigensolveError:
+                return
+        # n Lanczos steps after the start vector's solve
+        assert solves[0] == n + 1
+        assert np.all(np.isfinite(spec.eigenvalues))
+        assert_allclose(spec.eigenvalues, dense_eigenvalues(ops)[:n - 1],
+                        rtol=1e-10, atol=0)
 
 
 @pytest.fixture
