@@ -16,7 +16,7 @@ pipelines can branch on them:
 
 Outputs embed the tool version and input digests; nothing in a report
 depends on wall-clock time, so identical configurations reproduce
-byte-identical files.
+byte-identical files on one machine at one BLAS thread count.
 """
 
 import argparse

@@ -9,6 +9,7 @@ differ) whose first 20 Dirichlet eigenvalues agree to a few parts in 1e5
 under FEM cross-validation.
 """
 
+import functools
 import math
 import time
 from dataclasses import dataclass
@@ -159,23 +160,18 @@ def build_corpus(seed=0, fem=True):
 
     checks = []
     refs = {ref.label: ref for ref in REFERENCE_DOMAINS}
-    spectra_by_label = {}
-    verdicts_by_label = {}
 
-    def reference_spectrum(ref):
-        # Each reference spectrum is computed once per corpus run; the
-        # L-shape FEM mesh and solve alone take about twenty seconds.
-        if ref.label not in spectra_by_label:
-            spectra_by_label[ref.label] = spectrum_for(ref, seed=seed)
-        return spectra_by_label[ref.label]
+    # Each reference spectrum is computed once per corpus run; the L-shape
+    # FEM mesh and solve alone take four to five seconds on two cores.
+    @functools.cache
+    def reference_spectrum(label):
+        return spectrum_for(refs[label], seed=seed)
 
-    def reference_verdict(ref):
-        # Likewise each verdict: for an exact spectrum its fit is the blind
-        # fit the a0-recovery check judges, so both checks share it.
-        if ref.label not in verdicts_by_label:
-            verdicts_by_label[ref.label] = classify(reference_spectrum(ref),
-                                                   chi=ref.chi)
-        return verdicts_by_label[ref.label]
+    # Likewise each verdict: for an exact spectrum its fit is the blind fit
+    # the a0-recovery check judges, so both checks share it.
+    @functools.cache
+    def reference_verdict(label):
+        return classify(reference_spectrum(label), chi=refs[label].chi)
 
     def gauss_bonnet():
         worst = 0.0
@@ -218,7 +214,7 @@ def build_corpus(seed=0, fem=True):
     checks.append(("theorem/random-polygon-a0", random_polygon_bound))
 
     def monotonicity():
-        inner = reference_spectrum(refs["square"])
+        inner = reference_spectrum("square")
         outer = spectra.rectangle_spectrum(1.2, 1.1, 2.0e4)
         k = 200
         bad = int(np.sum(outer.eigenvalues[:k] > inner.eigenvalues[:k]))
@@ -228,10 +224,10 @@ def build_corpus(seed=0, fem=True):
     checks.append(("spectra/domain-monotonicity", monotonicity))
 
     def weyl_tail():
-        sq = reference_spectrum(refs["square"])
+        sq = reference_spectrum("square")
         r = spectra.weyl_ratio(sq, 1.0)
         _assert(abs(r[10**4 - 1] - 1) < 0.02, f"square ratio {r[10**4-1]:.4f}")
-        dk = reference_spectrum(refs["disk"])
+        dk = reference_spectrum("disk")
         rd = spectra.weyl_ratio(dk, PI)
         _assert(abs(rd[10**3 - 1] - 1) < 0.05, f"disk ratio {rd[10**3-1]:.4f}")
         return "counting ratios approach 1"
@@ -243,7 +239,7 @@ def build_corpus(seed=0, fem=True):
         for ref in REFERENCE_DOMAINS:
             if not ref.analytic:
                 continue
-            fit = reference_verdict(ref).fit
+            fit = reference_verdict(ref.label).fit
             err = abs(fit.coef["a0"] - ref.a0)
             _assert(err <= 0.01, f"{ref.label}: |a0 err| = {err:.4f}")
             area = implied_area(fit)
@@ -263,7 +259,7 @@ def build_corpus(seed=0, fem=True):
         for ref in REFERENCE_DOMAINS:
             if not ref.analytic and not fem:
                 continue
-            decision = reference_verdict(ref).decision
+            decision = reference_verdict(ref.label).decision
             if (decision == "has_corners") != ref.has_corners:
                 wrong.append(f"{ref.label}:{decision}")
         _assert(not wrong, "wrong verdicts: " + ", ".join(wrong))
@@ -277,7 +273,7 @@ def build_corpus(seed=0, fem=True):
             ref = refs["lshape"]
             # The assisted fit reuses the trace of the L-shape's verdict.
             dom = ref.build()
-            fit = fit_expansion(reference_verdict(ref).samples,
+            fit = fit_expansion(reference_verdict(ref.label).samples,
                                 area=dom.area, perimeter=dom.perimeter,
                                 pollution_term=True)
             err = abs(fit.coef["a0"] - ref.a0)

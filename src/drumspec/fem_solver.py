@@ -28,12 +28,13 @@ every step.  Flat slivers along the boundary are dropped from the final
 triangles.
 
 The spring mesher's angles depend on when it happens to retriangulate, and
-a coarse mesh of a few dozen points is fragile.  So a coarse mesh is kept
-only if it conforms and every angle is at least MIN_ANGLE_DEG = 20 deg;
-otherwise the coarse step is redone with n - 1, n - 2, ..., down to n = 1,
-the spring mesher alone.  The subdivided mesh must pass the same floor,
-and mesh_domain raises MeshError, naming the angle, rather than return a
-mesh below it.
+a coarse mesh of a few dozen points is fragile.  So the coarse mesh and its
+subdivision are both finished by one step, ``_finish_mesh``, which refuses
+a mesh with a degenerate triangle, then one that does not conform, then
+one with an angle below MIN_ANGLE_DEG = 20 deg.  When either level is
+refused, the coarse step is redone with n - 1, n - 2, ..., down to n = 1,
+the spring mesher alone, and past that mesh_domain raises the last
+MeshError (below the floor, it names the angle) rather than return a mesh.
 
 Subdivision keeps the coarse angles except at graded corners and curves,
 and it is the only grading.  A corner is graded when its angle theta
@@ -124,11 +125,9 @@ class Mesh:
     area: float = 0.0             # of the continuous domain
     perimeter: float = 0.0
     boundary_loops: list = field(default_factory=list)  # vertex index arrays
-    # mesh_domain records min_angle_deg (of this mesh, as the benchmark's
-    # tracer reads it), subdivisions (n), and two figures of the coarse
-    # spring mesh it subdivides: delaunay_calls and last_max_move_h, the
-    # largest interior move of its last relaxation iteration over its
-    # spacing.
+    # _finish_mesh records min_angle_deg (of this mesh, as the benchmark's
+    # tracer reads it), delaunay_calls (the spring mesher's triangulations)
+    # and, on a subdivided mesh, subdivisions (n).
     meta: dict = field(default_factory=dict)
 
     @property
@@ -178,15 +177,10 @@ def mesh_domain(domain, h):
     width = _width(domain)
     if h > width / 4.0:
         raise MeshError(f"h={h:g} too coarse for a domain of width {width:g}")
-    # The grading rule of the module docstring (theta > 1.01 pi).
-    reentrant = [c for c in domain.corners if c.theta > 1.01 * PI]
     for n in range(math.ceil(COARSE_SIZE * width / h), 0, -1):
         try:
-            coarse, params = _spring_mesh(domain, n * h / SPRING_SCALE, width)
-            _check_min_angle(coarse)
-            mesh = _subdivide(coarse, params, domain, n, h, reentrant)
-            _check_min_angle(mesh)
-            return mesh
+            return _subdivide(*_spring_mesh(domain, n * h / SPRING_SCALE, width),
+                              domain, n, h)
         except MeshError as exc:
             failure = exc
     raise failure
@@ -202,21 +196,14 @@ def _width(domain):
     return float(np.sqrt(np.max(np.sum((hull[:, None] - hull[None]) ** 2, axis=-1))))
 
 
-def _check_min_angle(mesh):
-    angle = mesh.meta["min_angle_deg"]
-    if angle < MIN_ANGLE_DEG:
-        raise MeshError(f"smallest angle {angle:.3g} deg is below the "
-                        f"{MIN_ANGLE_DEG:g} deg floor")
-
-
 def _spring_mesh(domain, h, width):
     """The spring mesher at the spacing h, for a domain of width ``width``:
-    the Mesh, and for each of its boundary loops the flat segment index and
-    the segment parameter of every loop vertex."""
+    the Mesh, checked by ``_finish_mesh``, and for each of its boundary loops
+    the flat segment index and the segment parameter of every loop vertex."""
     sagitta = h * h / width
 
     boundary_loops = []
-    boundary_pts = []
+    poly_loops = []  # the boundary polygons, which containment tests use
     params = []
     offset = flat = 0
     for li, loop in enumerate(domain.loops):
@@ -232,13 +219,12 @@ def _spring_mesh(domain, h, width):
             us.append(u)
         flat += len(loop.segments)
         loop_pts = np.concatenate(pieces, axis=0)
-        boundary_pts.append(loop_pts)
+        poly_loops.append(loop_pts)
         boundary_loops.append(np.arange(offset, offset + len(loop_pts)))
         params.append((np.concatenate(segs), np.concatenate(us)))
         offset += len(loop_pts)
-    boundary = np.concatenate(boundary_pts, axis=0)
+    boundary = np.concatenate(poly_loops, axis=0)
     n_bdry = len(boundary)
-    poly_loops = boundary_pts  # discrete polygons used for containment
 
     # Interior seeds: a hex lattice in the frame of the outer loop's first
     # segment (origin at its start, x-axis along its chord), so that a
@@ -286,10 +272,6 @@ def _spring_mesh(domain, h, width):
         points[free] += RELAX_STEP * force[free]
         escaped = np.nonzero(free)[0][~_loops_contain(poly_loops, points[free])]
         points[escaped] = prev[escaped]
-    # Every mesh runs all RELAX_ITERS: the largest move of the last one is
-    # still 0.0009-0.012 spacings on the square, disk, L-shape and GWW drums.
-    max_move = np.max(np.linalg.norm(points[free] - prev[free], axis=1)) \
-        if free.any() else 0.0
 
     simplices = _triangulate(points, poly_loops)
     area2 = _area2(points[simplices])
@@ -306,32 +288,19 @@ def _spring_mesh(domain, h, width):
     used = np.unique(simplices)
     remap = -np.ones(len(points), dtype=int)
     remap[used] = np.arange(len(used))
-    vertices = points[used]
     triangles = remap[simplices]
-    is_boundary = np.zeros(len(used), dtype=bool)
-    is_boundary[remap[np.arange(n_bdry)]] = True
     loops_idx = [remap[ix] for ix in boundary_loops]
     if np.any([np.any(ix < 0) for ix in loops_idx]):
         raise MeshError("a boundary point was orphaned; decrease h")
 
-    # Enforce CCW orientation and positive areas.
+    # Enforce CCW orientation.
     flip = area2 < 0
     triangles[flip] = triangles[flip][:, [0, 2, 1]]
-    if np.any(np.abs(area2) <= 1e-14 * h * h):
-        raise MeshError("degenerate triangle produced; decrease h")
-
-    mesh = Mesh(vertices=vertices, triangles=triangles, is_boundary=is_boundary,
-                h=h, chord_error=sagitta,
-                domain_label=domain.label, area=domain.area,
-                perimeter=domain.perimeter, boundary_loops=loops_idx,
-                meta={"min_angle_deg": _min_angles_deg(vertices, triangles).min(),
-                      "delaunay_calls": retriangulations + 1,
-                      "last_max_move_h": max_move / h})
-    _check_conformity(mesh)
-    return mesh, params
+    return _finish_mesh(points[used], triangles, loops_idx, h, sagitta, domain,
+                        delaunay_calls=retriangulations + 1), params
 
 
-def _subdivide(coarse, params, domain, n, h, reentrant):
+def _subdivide(coarse, params, domain, n, h):
     """Split every triangle of ``coarse`` into n^2 similar ones whose nodes
     are shared along the coarse edges.
 
@@ -346,8 +315,9 @@ def _subdivide(coarse, params, domain, n, h, reentrant):
     nv, nt = len(P), len(T)
     segments = [seg for loop in domain.loops for seg in loop.segments]
     corner = np.zeros(nv, dtype=bool)
-    for c in reentrant:
-        corner[np.argmin(np.linalg.norm(P - c.vertex, axis=1))] = True
+    for c in domain.corners:
+        if c.theta > 1.01 * PI:  # the grading rule of the module docstring
+            corner[np.argmin(np.linalg.norm(P - c.vertex, axis=1))] = True
     graded = corner[T]
     if n > 1 and np.any(graded.sum(axis=1) > 1):
         raise MeshError("a coarse triangle touches two graded corners")
@@ -450,21 +420,29 @@ def _subdivide(coarse, params, domain, n, h, reentrant):
     offsets = np.cumsum([0] + [len(lp) for lp in loops])
     boundary_loops = [rank[nodes[lo:hi, :-1].ravel()]
                       for lo, hi in zip(offsets[:-1], offsets[1:])]
-    is_boundary = np.zeros(len(vertices), dtype=bool)
-    is_boundary[np.concatenate(boundary_loops)] = True
+    return _finish_mesh(vertices, triangles, boundary_loops, h, sagitta, domain,
+                        delaunay_calls=coarse.meta["delaunay_calls"],
+                        subdivisions=n)
 
+
+def _finish_mesh(vertices, triangles, loops, h, chord_error, domain, **meta):
+    """The Mesh of ``triangles`` over ``vertices``, whose boundary loops are
+    the vertex index arrays ``loops``, checked in this order: no triangle
+    degenerate or clockwise, conforming (``_check_conformity``), and no angle
+    below MIN_ANGLE_DEG.  Its meta is min_angle_deg and ``meta``."""
     if np.any(_area2(vertices[triangles]) <= 1e-14 * h * h):
-        raise MeshError(f"subdivision into {n}^2 left a degenerate or "
-                        f"inverted triangle")
+        raise MeshError("degenerate triangle produced; decrease h")
+    is_boundary = np.zeros(len(vertices), dtype=bool)
+    is_boundary[np.concatenate(loops)] = True
+    angle = _min_angles_deg(vertices, triangles).min()
     mesh = Mesh(vertices=vertices, triangles=triangles, is_boundary=is_boundary,
-                h=h, chord_error=sagitta, domain_label=domain.label,
+                h=h, chord_error=chord_error, domain_label=domain.label,
                 area=domain.area, perimeter=domain.perimeter,
-                boundary_loops=boundary_loops,
-                meta={"min_angle_deg": _min_angles_deg(vertices, triangles).min(),
-                      "delaunay_calls": coarse.meta["delaunay_calls"],
-                      "last_max_move_h": coarse.meta["last_max_move_h"],
-                      "subdivisions": n})
+                boundary_loops=loops, meta={"min_angle_deg": angle, **meta})
     _check_conformity(mesh)
+    if angle < MIN_ANGLE_DEG:
+        raise MeshError(f"smallest angle {angle:.3g} deg is below the "
+                        f"{MIN_ANGLE_DEG:g} deg floor")
     return mesh
 
 
@@ -577,11 +555,7 @@ def complete_below(eigenvalues, area, perimeter):
                     for i in range(len(d))])
     bad = med > POLLUTION_DEV
     bad[:min(POLLUTION_KMIN, len(lam))] = False
-    idx = np.nonzero(bad)[0]
-    n_ok = len(lam) if len(idx) == 0 else int(idx[0])
-    if n_ok == 0:
-        raise EigensolveError("entire discrete spectrum is polluted")
-    return n_ok
+    return int(np.argmax(bad)) if bad.any() else len(lam)
 
 
 def _factor_shifted(K, M, sigma):

@@ -18,6 +18,8 @@ from drumspec.cli import _build_parser, main
 from drumspec.geometry import (
     make_disk,
     make_equilateral_triangle,
+    make_lshape,
+    make_polygon,
     make_square,
     save_domain,
 )
@@ -183,6 +185,26 @@ def test_missing_domain_file_exits_2(tmp_path, command, capsys):
     assert main([command, "--domain", str(tmp_path / "missing.yaml"),
                  "--out", str(tmp_path)]) == 2
     assert "not readable" in capsys.readouterr().err
+
+
+SLIVER = [(0, 0), (1, 0), (1, 0.01), (0.5, 0.012), (0, 0.01)]
+
+
+@pytest.mark.parametrize("build, count, message", [
+    (lambda: make_polygon(SLIVER, label="sliver"), "200",
+     "segment 1 of loop 0 (length 0.01) is too short for the coarse "
+     "spacing 0.166667"),
+    (make_lshape, "500", "count=500 out of range for 16 dofs"),
+], ids=["mesh", "solve"])
+def test_mesh_and_solve_failures_exit_1(tmp_path, domain_file, build, count,
+                                        message, capsys):
+    # a sliver pentagon too thin for the coarse spacing, and more modes
+    # than the L-shape has dofs at h=0.2
+    domain = domain_file(build(), "domain")
+    assert main(["spectrum", "--domain", domain, "--h", "0.2",
+                 "--count", count, "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("text", [None, "# cutoff=100\nindex,eigenvalue\n"],

@@ -400,6 +400,10 @@ class TestTwoLevelMesh:
         assert np.linalg.norm(np.ptp(corners, axis=0)) > 1.5
         assert mesh_domain(turned, 0.02).meta["subdivisions"] == 8
 
+    def test_meta_holds_the_angle_and_the_mesher_counts(self, lshape_mesh):
+        assert set(lshape_mesh.meta) == {"min_angle_deg", "delaunay_calls",
+                                         "subdivisions"}
+
     def test_vertices_numbered_row_major(self, lshape_mesh):
         v = lshape_mesh.vertices
         assert np.array_equal(np.lexsort((v[:, 0], v[:, 1])),
